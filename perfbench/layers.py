@@ -23,7 +23,6 @@ from perfbench.stats import median
 #: spans that delimit or wait on work rather than do it (see module doc)
 NOT_LAYER_WORK = frozenset({
     "bench.job",
-    "bench.pass",
     "scenarios.run",
     "serve.client",
     "serve.client_stream",

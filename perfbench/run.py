@@ -54,17 +54,15 @@ def run_phase(
     workload: str, ctx: Context, seconds: float, cycles: int, tag: str = "run"
 ) -> Outcome:
     """Set up (``cycles`` times, or once untimed when 0), then measure."""
+    out = Outcome()
     if workload == "exhibit_sweep":
         if cycles:
-            setup = exhibit_setup(ctx, cycles)
+            exhibit_setup(ctx, cycles, out)
         else:
-            setup = []
             warm_up()
-        out = exhibit_phase(ctx, seconds)
-        out.setup_s = setup
+        exhibit_phase(ctx, seconds, out)
         return out
     phase = ServicePhase("serve" if workload == "serve_mix" else "cluster", ctx)
-    out = Outcome()
     try:
         if cycles:
             service_setup(phase, cycles, out)
@@ -101,6 +99,12 @@ def end_to_end(out: Outcome, peak_rss_mib: float) -> list[tuple[str, float, str,
         timing(f"{cls}_p90_ms", values, 90)
     rows.append(("setup_s", percentile(out.setup_s, 50), "s", f"n={len(out.setup_s)}"))
     rows.append(("peak_rss_mib", peak_rss_mib, "MiB", "n=1"))
+    if out.slowness:
+        out.notes.append(
+            f"samples divided by host slowness: median {percentile(out.slowness, 50):.4f}, "
+            f"min {min(out.slowness):.4f}, max {max(out.slowness):.4f} "
+            f"(n={len(out.slowness)})"
+        )
     return rows
 
 

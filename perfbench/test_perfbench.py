@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 import sys
 import types
@@ -11,6 +12,7 @@ import pytest
 from perfbench.layers import covered_share, load, per_layer, self_times, union_length
 from perfbench.stats import Tally, beyond, percentile, rank, supported
 from perfbench.tracer import Tracer
+from perfbench.yardstick import measure
 
 
 # -- span self-time arithmetic ---------------------------------------------
@@ -191,3 +193,12 @@ def test_flush_writes_spans_and_resets(tmp_path):
 
     (proc,) = load_spans(tmp_path)
     assert proc["role"] == "server" and proc["spans"][0][2:4] == ["bench.job", "job-9"]
+
+
+# -- host-speed yardstick ----------------------------------------------------
+
+
+def test_yardstick_restores_the_affinity_it_pins():
+    cpus = os.sched_getaffinity(0)
+    assert measure() > 0
+    assert os.sched_getaffinity(0) == cpus

@@ -2,10 +2,10 @@
 
 * ``exhibit_sweep`` -- cold passes over a reduced exhibit grid through
   ``Session(workers=2, cache=...)`` (the path behind ``repro run ...
-  --workers 2 --cache``), each followed by a replay pass on the warm
-  cache;
+  --workers 2 --cache``), each followed by replay passes on the warm
+  cache, with every timing scaled by the host's measured speed;
 * ``serve_mix`` -- two closed-loop ``ServerClient`` connections against a
-  ``repro serve`` subprocess (one pool worker);
+  ``repro serve`` subprocess (two pool workers);
 * ``cluster_mix`` -- the same job stream over ``HttpClusterClient`` to a
   ``repro cluster coordinator`` subprocess (journal on, HTTP gateway)
   sharding onto two ``repro cluster agent`` subprocesses.
@@ -23,6 +23,7 @@ import multiprocessing
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -37,7 +38,7 @@ from repro.scenarios import Session
 from repro.scenarios.spec import ScenarioSpec
 from repro.serve import ServerClient
 
-from perfbench import procs, specs
+from perfbench import procs, specs, yardstick
 from perfbench.stats import Tally
 from perfbench.tracer import Tracer
 
@@ -45,8 +46,16 @@ from perfbench.tracer import Tracer
 JOB_DEADLINE_S = 30.0
 #: seconds a server process gets to start or to exit after ``shutdown``
 PROCESS_TIMEOUT_S = 60.0
-#: closed-loop clients, no think time (= cores of the reference host)
-CLIENTS = 2
+#: closed-loop clients, no think time, per topology.  serve_mix runs one
+#: per core of the reference host, so the clients' shared cold specs meet
+#: in the server's in-flight dedup.  cluster_mix runs one: each of its
+#: jobs crosses the client, the coordinator and an agent on the same two
+#: cores, and with two clients their jobs queued behind each other, which
+#: amplified the host's slow episodes (over five loaded runs replay_p50_ms
+#: spread by 32% with two clients and 20% with one).
+CLIENTS = {"serve": 2, "cluster": 1}
+#: spawned processes computing the Session.run references (= cores)
+CHECK_WORKERS = 2
 #: pool workers of the serve_mix server: one per client, as many as the
 #: cluster's two one-worker agents.  With one worker the two clients'
 #: cold jobs queued behind each other often enough (about one in ten)
@@ -54,9 +63,12 @@ CLIENTS = 2
 SERVE_WORKERS = 2
 #: pinned exhibit report digests for :data:`specs.DEFAULT_SEED`
 DIGESTS = Path(__file__).with_name("digests.json")
-#: replay passes after each cold exhibit pass (replays take milliseconds,
-#: so they need more samples than the cold jobs for a steady median)
-REPLAY_PASSES = 3
+#: replay passes after each cold exhibit pass.  A replay sample is a whole
+#: pass: the grid's jobs replay in 1-5 ms each, by their trial counts, and
+#: a median over single jobs fell on the boundary between the cheap jobs
+#: and the rest (its spread over ten runs was 17-26%).  Ten passes take
+#: about 0.15 s and give a 30-second run over 100 samples.
+REPLAY_PASSES = 10
 
 _now = time.perf_counter
 
@@ -94,6 +106,8 @@ class Outcome:
     first_row_ms: list[float] = field(default_factory=list)
     sweep_s: list[float] = field(default_factory=list)
     setup_s: list[float] = field(default_factory=list)
+    #: host slowness (:func:`slowness`) each scaled sample was divided by
+    slowness: list[float] = field(default_factory=list)
     jobs: int = 0
     busy_s: float = 0.0
     notes: list[str] = field(default_factory=list)
@@ -156,11 +170,26 @@ def warm_up() -> None:
     Session(workers=2).run(specs.warmup_grid()[0])
 
 
-def exhibit_setup(ctx: Context, cycles: int) -> list[float]:
-    """``cycles`` fresh-interpreter set-ups, then this process's own."""
-    times = [probe(ctx, warm_up=True) for _ in range(cycles)]
+def slowness() -> float:
+    """How much slower than the reference host this host runs right now."""
+    return yardstick.measure() / yardstick.NOMINAL_S
+
+
+def exhibit_setup(ctx: Context, cycles: int, out: Outcome) -> None:
+    """``cycles`` fresh-interpreter set-ups, then this process's own.
+
+    The set-ups run back to back within seconds, so each is divided by the
+    median of the host's slowness gauged around them (see
+    :func:`exhibit_phase`): one gauge caught in a burst moves no sample.
+    """
+    gauges = [slowness()]
+    seconds = []
+    for _ in range(cycles):
+        seconds.append(probe(ctx, warm_up=True))
+        gauges.append(slowness())
+    out.slowness.append(statistics.median(gauges))
+    out.setup_s.extend(s / out.slowness[-1] for s in seconds)
     warm_up()
-    return times
 
 
 def _session_job(spec: ScenarioSpec, cache: ResultCache, tally: Tally):
@@ -183,10 +212,20 @@ def _session_job(spec: ScenarioSpec, cache: ResultCache, tally: Tally):
     return ms, report
 
 
-def exhibit_phase(ctx: Context, seconds: float) -> Outcome:
+def exhibit_phase(ctx: Context, seconds: float, out: Outcome) -> None:
     """A cold pass and :data:`REPLAY_PASSES` replay passes, repeated until
-    ``seconds`` have elapsed."""
-    out = Outcome()
+    ``seconds`` have elapsed.  A replay sample is one whole replay pass.
+
+    Every timing is divided by the host's slowness, gauged on each core
+    between the jobs: each cold job by the mean of the gauges before and
+    after it, the replay passes by the mean of the gauges around them, so
+    the samples read as on the reference host.  A pass's time is the sum
+    of its jobs' times.  This CPU-bound workload ran up to 60% slower in
+    one run than in the next as the host's other tenants came and went;
+    a pass's time tracked the gauges around it (correlation 0.93 over 22
+    pairs of passes), so dividing cut its spread across runs by more than
+    half.
+    """
     grid = specs.exhibit_grid(ctx.seed)
     pinned = (
         json.loads(DIGESTS.read_text()) if ctx.seed == specs.DEFAULT_SEED else None
@@ -194,39 +233,53 @@ def exhibit_phase(ctx: Context, seconds: float) -> Outcome:
     first: list[str | None] | None = None
     stop = _now() + seconds
     k = 0
+    gauge = slowness()
     while _now() < stop:
         cache_dir = ctx.work / f"exhibit-cache-{k}"
         digests: list[str | None] = []
-        t0 = _now()
-        with ctx.span("bench.pass"):
-            cache = ResultCache(cache_dir)
-            for spec in grid:
+        pass_ms = 0.0
+        cache = ResultCache(cache_dir)
+        for spec in grid:
+            before = gauge
+            with ctx.span("bench.job"):
                 ms, report = _session_job(spec, cache, out.tally)
-                digests.append(None if report is None else exhibit_digest(report))
-                if report is None:
-                    continue
-                out.cold_ms.append(ms)
-                # a batch call hands every row back at once, with the report
-                out.first_row_ms.append(ms)
-                if report.execution["executed"] != report.execution["total_trials"]:
-                    out.tally.wrong(f"{spec.name}: cold pass served from cache")
-        pass_s = _now() - t0
+            gauge = slowness()
+            digests.append(None if report is None else exhibit_digest(report))
+            if report is None:
+                continue
+            out.slowness.append((before + gauge) / 2)
+            ms /= out.slowness[-1]
+            pass_ms += ms
+            out.cold_ms.append(ms)
+            # a batch call hands every row back at once, with the report
+            out.first_row_ms.append(ms)
+            if report.execution["executed"] != report.execution["total_trials"]:
+                out.tally.wrong(f"{spec.name}: cold pass served from cache")
         if None not in digests:
-            out.sweep_s.append(pass_s)
+            out.sweep_s.append(pass_ms / 1000)
+        before = gauge
+        replays: list[float] = []
         t1 = _now()
         for _ in range(REPLAY_PASSES):
-            with ctx.span("bench.pass"):
-                cache = ResultCache(cache_dir)
-                for spec, digest in zip(grid, digests):
+            cache = ResultCache(cache_dir)
+            replay_ms = []
+            for spec, digest in zip(grid, digests):
+                with ctx.span("bench.job"):
                     ms, report = _session_job(spec, cache, out.tally)
-                    if report is None:
-                        continue
-                    out.replay_ms.append(ms)
-                    if report.execution["executed"] != 0:
-                        out.tally.wrong(f"{spec.name}: replay recomputed trials")
-                    if exhibit_digest(report) != digest:
-                        out.tally.wrong(f"{spec.name}: replay report differs from cold")
-        out.busy_s += pass_s + (_now() - t1)
+                if report is None:
+                    continue
+                replay_ms.append(ms)
+                if report.execution["executed"] != 0:
+                    out.tally.wrong(f"{spec.name}: replay recomputed trials")
+                if exhibit_digest(report) != digest:
+                    out.tally.wrong(f"{spec.name}: replay report differs from cold")
+            if len(replay_ms) == len(grid):
+                replays.append(sum(replay_ms))
+        replay_s = _now() - t1
+        gauge = slowness()
+        out.slowness.append((before + gauge) / 2)
+        out.replay_ms.extend(ms / out.slowness[-1] for ms in replays)
+        out.busy_s += pass_ms / 1000 + replay_s / out.slowness[-1]
         out.jobs += (1 + REPLAY_PASSES) * len(grid)
         shutil.rmtree(cache_dir)
         if first is None:
@@ -242,7 +295,6 @@ def exhibit_phase(ctx: Context, seconds: float) -> Outcome:
             for name, digest in observed.items():
                 if digest is not None and pinned.get(name) != digest:
                     out.tally.wrong(f"{name}: report digest differs from digests.json")
-    return out
 
 
 # -- serve_mix / cluster_mix -------------------------------------------------
@@ -365,16 +417,25 @@ class ServicePhase:
         self.records: list[JobRecord] = []
         self.service: Service | None = None
         self.clients: list = []
+        #: replays are divided by the host's slowness on cluster_mix only.
+        #: There a replay crosses no delayed-ACK stall (the coordinator
+        #: answers from its own cache over fresh HTTP connections), so it
+        #: is CPU-bound like exhibit_sweep's jobs, and its p90 spread by
+        #: 28% over ten loaded runs unscaled.  Cold jobs and first rows
+        #: wait out the 40 ms stall on the coordinator -> agent socket,
+        #: and serve_mix replays the one on the server -> client socket;
+        #: CPU speed does not move a timer, so those stay unscaled.
+        self.scale_replays = kind == "cluster"
 
     def bring_up(self, tag: str, out: Outcome) -> float:
         """Start the topology, fill the replay share, warm up; seconds taken."""
         t0 = _now()
         self.service = Service(self.kind, self.ctx, tag)
-        self.clients = [self.service.client() for _ in range(CLIENTS)]
+        self.clients = [self.service.client() for _ in range(CLIENTS[self.kind])]
         for c in self.clients:
             getattr(c, "connect", lambda: None)()
         warm = [specs.job_spec(specs.derive_seed(self.ctx.seed, "warm", tag, i))
-                for i in range(CLIENTS)]
+                for i in range(CLIENTS[self.kind])]
         for spec in specs.replay_specs(self.ctx.seed) + warm:
             self._account(run_job(self.clients[0], spec, self.ctx), out)
         return _now() - t0
@@ -396,15 +457,29 @@ class ServicePhase:
         stop = _now() + seconds
         ends: list[float] = []
         lock = threading.Lock()
+        paused = 0.0
+
+        def gauge() -> float:
+            nonlocal paused  # only cluster_mix gauges, and it has one client
+            if not self.scale_replays:
+                return 1.0
+            t = _now()
+            g = slowness()
+            paused += _now() - t
+            return g
 
         def loop(cid: int) -> None:
             client = self.clients[cid]
             k = 0
-            while True:
+            after = gauge()
+            while _now() < stop:
                 t_pass = _now()
+                replays: list[float] = []
+                complete = True
                 for spec in specs.client_jobs(self.ctx.seed, cid, k):
                     if _now() >= stop:
-                        return
+                        complete = False
+                        break
                     rec = run_job(client, spec, self.ctx)
                     with lock:
                         self._account(rec, out)
@@ -414,21 +489,32 @@ class ServicePhase:
                         out.jobs += 1
                         ms = (rec.t1 - rec.t0) * 1000
                         if rec.cached:
-                            out.replay_ms.append(ms)
+                            replays.append(ms)
                         else:
                             out.cold_ms.append(ms)
                             out.first_row_ms.append((rec.first_row - rec.t0) * 1000)
+                pass_s = _now() - t_pass
+                if complete:
+                    before, after = after, gauge()
+                    slow = (before + after) / 2
+                else:  # time is up: no gauge after the window
+                    slow = after
                 with lock:
-                    out.sweep_s.append(_now() - t_pass)
+                    if complete:
+                        out.sweep_s.append(pass_s)
+                    out.replay_ms.extend(ms / slow for ms in replays)
+                    if self.scale_replays:
+                        out.slowness.append(slow)
                 k += 1
 
         t0 = _now()
-        threads = [threading.Thread(target=loop, args=(i,)) for i in range(CLIENTS)]
+        threads = [threading.Thread(target=loop, args=(i,))
+                   for i in range(CLIENTS[self.kind])]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        out.busy_s = (max(ends) if ends else _now()) - t0
+        out.busy_s = (max(ends) if ends else _now()) - t0 - paused
 
     def check(self, out: Outcome) -> None:
         """Every job's report must equal ``Session.run`` of its spec."""
@@ -437,7 +523,7 @@ class ServicePhase:
             if rec.digest is not None:
                 distinct.setdefault(rec.spec.spec_hash(), rec.spec)
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=CLIENTS, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=CHECK_WORKERS, mp_context=ctx) as pool:
             want = dict(zip(
                 distinct,
                 pool.map(_reference_digest,
