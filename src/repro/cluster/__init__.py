@@ -48,9 +48,9 @@ from repro.cluster.http import STATUS_BY_CODE, HttpClusterClient, HttpGateway
 from repro.cluster.journal import JobJournal, JobRecovery, read_journal, recover
 from repro.cluster.membership import AGENT_STATES, AgentHandle, Membership
 from repro.cluster.partition import partition_indices, shard_for_key
-from repro.cluster.policy import DEFAULT_POLICY, Deadline, RetryPolicy
 from repro.cluster.quota import QuotaPolicy, TokenBucket
 from repro.cluster.replicate import CacheReplicator, decode_entry, encode_entry
+from repro.serve.policy import DEFAULT_POLICY, Deadline, RetryPolicy
 
 __all__ = [
     "AGENT_STATES",

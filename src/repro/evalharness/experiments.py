@@ -51,11 +51,7 @@ from repro.scenarios import (
 from repro.workloads.cfd import CfdWorkload
 from repro.workloads.inmem_analytics import InMemoryAnalyticsWorkload
 from repro.workloads.pagerank import PageRankWorkload
-from repro.workloads.registry import get_workload_class
 from repro.workloads.stream import StreamWorkload
-
-#: deprecated alias — workload lookup goes through the registry now
-SWEEP_CLASSES = {name: get_workload_class(name) for name in SWEEP_SCALES}
 
 
 # --------------------------------------------------------------------------

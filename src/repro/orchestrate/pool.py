@@ -1,15 +1,13 @@
-"""Persistent worker pool: long-lived processes shared across jobs.
+"""Persistent worker pool: long-lived processes with an event stream.
 
-:class:`~repro.orchestrate.runner.ParallelRunner` historically built a
-fresh :class:`~concurrent.futures.ProcessPoolExecutor` per ``map`` call
-and tore it down afterwards — fine for one-shot figure runs, fatal for
-a long-running profiling service where every submitted job would pay
-pool spin-up and leak teardown races.  :class:`WorkerPool` is the
-persistent replacement:
+Every parallel trial in the repo runs on a :class:`WorkerPool`: a
+:class:`~repro.orchestrate.runner.ParallelRunner` opens one per
+``map`` call, and the serve scheduler keeps one for the server's
+lifetime so that jobs stop paying pool spin-up and teardown.
 
-* workers are plain ``multiprocessing`` processes created **once** and
-  reused across an arbitrary number of jobs — worker PIDs stay stable
-  and no descriptors accumulate per job (pinned by
+* workers are plain ``multiprocessing`` processes, forked **once** and
+  reused across any number of tasks — worker PIDs stay stable and no
+  descriptors accumulate per task (pinned by
   ``tests/orchestrate/test_worker_pool.py``),
 * task completion is reported as an *event stream*
   (``done`` / ``error`` / ``lost``), which is what lets the serve
@@ -17,22 +15,21 @@ persistent replacement:
   jobs on one pool,
 * a worker killed mid-task is detected (``lost`` event naming the dead
   PID), and a replacement worker is spawned so capacity never decays —
-  the fault-tolerance substrate behind job retries and ``partial``
+  the fault-tolerance substrate behind trial retries and ``partial``
   job states in :mod:`repro.serve`.
 
 Tasks are ``(fn, arg)`` pairs; both must be picklable.  Events are
 tuples ``(kind, task_id, payload)`` where payload is the result
 (``done``), the raised exception or its string rendering (``error``),
-or a human-readable loss reason (``lost``).
+or a human-readable loss reason (``lost``).  A raised exception arrives
+with the worker-side traceback chained as its ``__cause__``.
 
 Large ``done`` payloads do not travel through the event pipe: workers
 encode them into the columnar substrate format and ship only a
 :class:`~repro.substrate.ShmResult` handle to a shared-memory segment
 (see :mod:`repro.substrate.shm`); the parent reattaches and decodes at
-the single delivery point in :meth:`WorkerPool.next_event`.  Results
-the substrate cannot encode — and any payload when
-``REPRO_RESULT_TRANSPORT=pickle`` is set — fall back to ordinary
-pickling over the pipe.
+the single delivery point in :meth:`WorkerPool.next_event`.  Small
+results and results the substrate cannot encode take the pipe.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ import os
 import pickle
 import queue as queuelib
 import time
+import traceback
 from typing import Any, Callable
 
 from repro.errors import ReproError, SubstrateError
@@ -55,13 +53,18 @@ EVENT_KINDS = ("done", "error", "lost")
 _STOP = None  # sentinel a worker interprets as "exit the loop"
 
 
+class _RemoteTraceback(Exception):
+    """A worker-side traceback, chained as the cause of a task's error."""
+
+
 def _worker_main(tasks: mp.Queue, events: mp.Queue) -> None:
     """Worker loop: pull ``(task_id, fn, arg)``, announce, run, report.
 
     The ``start`` announcement (carrying the worker PID) is what lets
     the parent attribute an in-flight task to a worker that later dies;
     exceptions are shipped back pickled when possible, as strings
-    otherwise, so one bad trial never wedges the pool.
+    otherwise, so one bad trial never wedges the pool — either way
+    with the formatted traceback alongside.
     """
     while True:
         item = tasks.get()
@@ -77,7 +80,7 @@ def _worker_main(tasks: mp.Queue, events: mp.Queue) -> None:
                 payload: Any = exc
             except Exception:
                 payload = f"{type(exc).__name__}: {exc}"
-            events.put(("error", task_id, payload))
+            events.put(("error", task_id, (payload, traceback.format_exc())))
         else:
             events.put(("done", task_id, _shm.marshal(result)))
 
@@ -92,12 +95,13 @@ class WorkerPool:
     the policy (retry, degrade, fail).
     """
 
-    def __init__(self, workers: int = 2, ctx: str | None = None) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ReproError(f"worker pool needs >= 1 worker, got {workers}")
         self.workers = workers
-        # fork keeps startup cheap and lets tests ship module-local fns
-        self._mp = mp.get_context(ctx or "fork")
+        # fork keeps startup cheap, lets tests ship module-local fns and
+        # hands workers the parent's module state (e.g. reference_path)
+        self._mp = mp.get_context("fork")
         self._tasks: mp.Queue = self._mp.Queue()
         self._events: mp.Queue = self._mp.Queue()
         self._procs: list = []
@@ -137,20 +141,27 @@ class WorkerPool:
                 break
         deadline = time.monotonic() + timeout
         for p in self._procs:
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
+            # a worker cannot exit while its unread events fill the pipe
+            while p.is_alive() and time.monotonic() < deadline:
+                self._discard_events()
+                p.join(timeout=0.05)
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=1.0)
-        while True:  # undelivered results may hold shared-memory segments
-            try:
-                ev = self._events.get_nowait()
-            except (queuelib.Empty, ValueError, OSError):
-                break
-            _shm.discard(ev[2])
+        self._discard_events()
         for q in (self._tasks, self._events):
             q.close()
             q.cancel_join_thread()
         self._procs.clear()
+
+    def _discard_events(self) -> None:
+        """Drop undelivered events, freeing their shared-memory results."""
+        while True:
+            try:
+                ev = self._events.get_nowait()
+            except (queuelib.Empty, ValueError, OSError):
+                return
+            _shm.discard(ev[2])
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -207,7 +218,11 @@ class WorkerPool:
                 continue
             self._outstanding.discard(task_id)
             self._started.pop(task_id, None)
-            if kind == "done" and isinstance(payload, _shm.ShmResult):
+            if kind == "error":
+                payload, tb = payload
+                if isinstance(payload, BaseException):
+                    payload.__cause__ = _RemoteTraceback(f'\n"""\n{tb}"""')
+            elif isinstance(payload, _shm.ShmResult):
                 try:
                     payload = _shm.unmarshal(payload)
                 except SubstrateError as exc:

@@ -3,16 +3,17 @@
 The evaluation grid (Figs. 2-11) is embarrassingly parallel: every
 trial is an independent, seeded simulation.  :class:`ParallelRunner`
 fans a list of :class:`TrialSpec` out over a
-:class:`concurrent.futures.ProcessPoolExecutor` and collects results
-back **in submission order**, so a parallel run is byte-identical to a
-serial one:
+:class:`~repro.orchestrate.pool.WorkerPool` opened for the call and
+collects results back **in submission order**, so a parallel run is
+byte-identical to a serial one:
 
 * seeds are fixed in the specs *before* anything is submitted — they
   depend on the grid position, never on scheduling,
 * results land in a slot indexed by spec position, never by completion
   order,
-* ``workers=1`` short-circuits to a plain in-process loop (no pickling
-  requirements, exact legacy behaviour).
+* ``workers=1`` or at most one cache miss short-circuits to a plain
+  in-process loop (no pickling requirements, exact legacy behaviour,
+  no pool opened).
 
 When a :class:`~repro.orchestrate.cache.ResultCache` is attached, the
 parent resolves hits up front and only submits the misses; workers
@@ -22,35 +23,66 @@ never touch the cache directory.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import mmap
 import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ReproError
 from repro.orchestrate.cache import ResultCache, canonical_config
 from repro.orchestrate.pool import WorkerPool
-from repro.substrate import shm as _shm
 
 _MISS = object()
 
+#: one shared stop byte per grid in flight; a pool's forked workers
+#: inherit this table, so each worker reads its own grid's byte
+_stop_flags: dict[int, mmap.mmap] = {}
+_grid_ids = itertools.count()
+
+
+@contextmanager
+def _stop_flag() -> Iterator[tuple[int, mmap.mmap]]:
+    """A new grid id and its stop byte, registered until the grid ends.
+
+    Open it before the grid's pool forks, so the workers inherit it.
+    """
+    grid = next(_grid_ids)
+    _stop_flags[grid] = stop = mmap.mmap(-1, 1)
+    try:
+        yield grid, stop
+    finally:
+        del _stop_flags[grid]
+        stop.close()
+
+
+class _GridStopped(Exception):
+    """Reported in place of a trial that never started: its grid failed."""
+
 
 @dataclass(frozen=True)
-class _Marshalled:
-    """Picklable wrapper shipping a trial's result via shared memory.
+class _GridTrial:
+    """``fn`` as one trial of a stoppable grid, run in a pool worker.
 
-    The executor path's counterpart of what :class:`WorkerPool` workers
-    do natively: the worker runs ``fn`` and parks a large columnar
-    result in a shared-memory segment, so only a tiny handle crosses
-    the process pipe.  The parent redeems the handle when it collects
-    the future.
+    A trial that raises sets its grid's stop byte before the worker
+    reports the error, so no worker starts another trial of that grid —
+    not even the failing worker, which pulls its next task at once.
     """
 
     fn: Callable[[Any], Any]
+    grid: int
 
     def __call__(self, spec: Any) -> Any:
-        return _shm.marshal(self.fn(spec))
+        stop = _stop_flags[self.grid]
+        if stop[0]:
+            raise _GridStopped
+        try:
+            return self.fn(spec)
+        except BaseException:
+            stop[0] = 1
+            raise
 
 
 def derive_seed(*parts: Any) -> int:
@@ -95,29 +127,14 @@ class RunReport:
 
 
 class ParallelRunner:
-    """Execute trial specs across processes, results in spec order.
-
-    With ``pool`` set, trials run on that persistent
-    :class:`~repro.orchestrate.pool.WorkerPool` instead of a per-call
-    ``ProcessPoolExecutor`` — no pool spin-up or teardown per ``map``,
-    stable worker PIDs across calls, and the pool outlives the runner
-    (the caller owns its lifecycle).  This is how the serve scheduler
-    and any other long-running driver reuse workers across jobs.
-    """
+    """Execute trial specs across processes, results in spec order."""
 
     def __init__(
-        self,
-        workers: int = 1,
-        cache: ResultCache | None = None,
-        pool: WorkerPool | None = None,
+        self, workers: int = 1, cache: ResultCache | None = None
     ) -> None:
         if workers < 0:
             raise ReproError(f"workers must be >= 0 (0 = auto), got {workers}")
-        self.pool = pool
-        if pool is not None:
-            self.workers = pool.workers
-        else:
-            self.workers = workers if workers > 0 else default_workers()
+        self.workers = workers if workers > 0 else default_workers()
         self.cache = cache
         self.last_report = RunReport()
 
@@ -130,8 +147,9 @@ class ParallelRunner:
 
         With ``workers > 1``, ``fn`` and each spec's config must be
         picklable (use a module-level function, or a
-        :func:`functools.partial` of one).  The first worker exception
-        propagates; remaining futures are cancelled.
+        :func:`functools.partial` of one).  The first trial exception
+        propagates, its worker-side traceback chained as ``__cause__``;
+        trials that had not started by then never start.
         """
         specs = list(specs)
         results: list[Any] = [None] * len(specs)
@@ -153,41 +171,11 @@ class ParallelRunner:
             workers=self.workers,
         )
         try:
-            if self.pool is not None and pending:
-                self._map_on_pool(fn, pending, results)
-            elif self.workers == 1 or len(pending) <= 1:
+            if self.workers == 1 or len(pending) <= 1:
                 for i, spec, key in pending:
-                    value = fn(spec)
-                    results[i] = value
-                    if key is not None:
-                        self.cache.put(key, value)
+                    self._land(results, i, key, fn(spec))
             else:
-                n = min(self.workers, len(pending))
-                wrapped = _Marshalled(fn)
-                with ProcessPoolExecutor(max_workers=n) as pool:
-                    futures = {
-                        pool.submit(wrapped, spec): (i, key)
-                        for i, spec, key in pending
-                    }
-                    # if no worker raises, this waits for all of them
-                    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-                    for fut in not_done:
-                        fut.cancel()
-                    error: BaseException | None = None
-                    for fut in futures:  # submission order
-                        if fut not in done:
-                            continue
-                        exc = fut.exception()
-                        if exc is not None:
-                            error = error or exc
-                            continue
-                        i, key = futures[fut]
-                        value = _shm.unmarshal(fut.result())
-                        results[i] = value
-                        if key is not None:
-                            self.cache.put(key, value)
-                    if error is not None:
-                        raise error
+                self._map_on_pool(fn, pending, results)
         finally:
             if self.cache is not None:
                 # how the hits were served (mmap'd columnar sidecar vs
@@ -198,37 +186,54 @@ class ParallelRunner:
             self.last_report = report
         return results
 
+    def _land(
+        self, results: list[Any], i: int, key: str | None, value: Any
+    ) -> None:
+        results[i] = value
+        if key is not None:
+            self.cache.put(key, value)
+
     def _map_on_pool(
         self,
         fn: Callable[[TrialSpec], Any],
         pending: list[tuple[int, TrialSpec, str | None]],
         results: list[Any],
     ) -> None:
-        """Run the cache misses on the persistent pool (spec order kept).
+        """Run the cache misses on a pool opened (and closed) for this call.
 
+        Every miss is queued at once, so no worker idles between trials.
         A worker crash mid-trial is retried once on the replacement
-        worker the pool spawned; a second loss (or a trial exception)
-        propagates, mirroring the executor path's fail-fast contract.
+        worker the pool spawned; a second loss or a trial exception
+        propagates once the trials already running have ended.
         """
-        tasks = {
-            self.pool.submit(fn, spec): (i, spec, key, 0)
-            for i, spec, key in pending
-        }
-        while tasks:
-            event = self.pool.next_event(timeout=None)
-            kind, task_id, payload = event
-            if task_id not in tasks:
-                continue  # a different owner's task (shared pool)
-            i, spec, key, retries = tasks.pop(task_id)
-            if kind == "done":
-                results[i] = payload
-                if key is not None:
-                    self.cache.put(key, payload)
-            elif kind == "lost" and retries < 1:
-                tasks[self.pool.submit(fn, spec)] = (i, spec, key, retries + 1)
-            elif kind == "lost":
-                raise ReproError(f"trial lost twice to worker crashes: {payload}")
-            elif isinstance(payload, BaseException):
-                raise payload
-            else:
-                raise ReproError(f"worker trial failed: {payload}")
+        n = min(self.workers, len(pending))
+        stopped = False
+        with _stop_flag() as (grid, stop), WorkerPool(workers=n) as pool:
+            trial = _GridTrial(fn, grid)
+            try:
+                tasks = {
+                    pool.submit(trial, spec): (i, spec, key, 0)
+                    for i, spec, key in pending
+                }
+                while tasks:
+                    kind, task_id, payload = pool.next_event(timeout=None)
+                    i, spec, key, retries = tasks.pop(task_id)
+                    if kind == "done":
+                        self._land(results, i, key, payload)
+                    elif kind == "lost" and retries < 1:
+                        retry = pool.submit(trial, spec)
+                        tasks[retry] = (i, spec, key, retries + 1)
+                    elif kind == "lost":
+                        raise ReproError(
+                            f"trial lost twice to worker crashes: {payload}"
+                        )
+                    elif isinstance(payload, _GridStopped):
+                        stopped = True  # the failing trial reports next
+                    elif isinstance(payload, BaseException):
+                        raise payload
+                    else:
+                        raise ReproError(f"worker trial failed: {payload}")
+            finally:
+                stop[0] = 1  # a failed grid's queued trials are skipped
+        if stopped:  # the failing trial's worker died before reporting
+            raise ReproError("a trial failed in a worker that then died")

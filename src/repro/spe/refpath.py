@@ -9,28 +9,25 @@ every call inside its scope through the scalar twins, which is how the
 golden-parity tests produce the reference side of the comparison without
 plumbing a flag through profiler, backends, and sessions.
 
-The toggle is mirrored into ``$REPRO_SPE_REFERENCE`` so it survives the
-:class:`~concurrent.futures.ProcessPoolExecutor` boundary: worker
-processes spawned *inside* a ``reference_path()`` scope (e.g. a
-``workers > 1`` sweep) inherit the environment and take the scalar path
-too.  Workers forked before the scope opened keep their own setting —
-process pools are created per ``ParallelRunner.map`` call, so in
-practice the scope covers them.
+The toggle is a module flag.  Pool workers are forked, so they inherit
+the flag as it stood when their pool opened: a
+:class:`~repro.orchestrate.ParallelRunner` opens its pool inside each
+``map`` call, so a ``workers > 1`` grid run within the scope takes the
+scalar path in every worker.  A long-lived pool forked before the scope
+opened (the serve scheduler's) keeps its own setting.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
-_ENV_FLAG = "REPRO_SPE_REFERENCE"
 _use_reference = False
 
 
 def reference_active() -> bool:
     """Whether calls should take the retained scalar reference path."""
-    return _use_reference or bool(os.environ.get(_ENV_FLAG))
+    return _use_reference
 
 
 @contextmanager
@@ -40,18 +37,12 @@ def reference_path() -> Iterator[None]:
     Affects :func:`~repro.spe.sampler.collision_scan` and
     :meth:`~repro.spe.driver.SpeDriver.feed` for the duration of the
     ``with`` block (reentrant; restores the previous state on exit),
-    including in worker processes spawned within the block.
+    including in the workers of pools opened within the block.
     """
     global _use_reference
     prev = _use_reference
-    prev_env = os.environ.get(_ENV_FLAG)
     _use_reference = True
-    os.environ[_ENV_FLAG] = "1"
     try:
         yield
     finally:
         _use_reference = prev
-        if prev_env is None:
-            os.environ.pop(_ENV_FLAG, None)
-        else:
-            os.environ[_ENV_FLAG] = prev_env

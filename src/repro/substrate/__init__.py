@@ -36,11 +36,9 @@ from repro.substrate.format import (
 )
 from repro.substrate.shm import (
     SHM_MIN_BYTES,
-    TRANSPORT_ENV,
     ShmResult,
     discard,
     marshal,
-    transport,
     unmarshal,
 )
 
@@ -49,7 +47,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
     "SHM_MIN_BYTES",
-    "TRANSPORT_ENV",
     "ShmResult",
     "decode",
     "decode_payload",
@@ -61,6 +58,5 @@ __all__ = [
     "marshal",
     "payload_version",
     "register",
-    "transport",
     "unmarshal",
 ]

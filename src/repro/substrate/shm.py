@@ -17,13 +17,12 @@ arenas instead:
 Results that are not columnar-encodable, or smaller than
 :data:`SHM_MIN_BYTES` (where a pipe round trip is cheaper than two
 ``shm_open`` syscalls), fall back to the plain pickle path — the
-transport is an optimisation, never a requirement.  Parity tests force
-the fallback globally with ``REPRO_RESULT_TRANSPORT=pickle``.
+transport is an optimisation, never a requirement.  Parity tests pin
+the shared-memory result pickle-byte-identical to the in-process one.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
@@ -33,15 +32,6 @@ from repro.substrate import codec
 
 #: payloads below this many bytes take the pipe (syscall overhead wins)
 SHM_MIN_BYTES = 64 * 1024
-
-#: environment switch: "shm" (default) or "pickle"
-TRANSPORT_ENV = "REPRO_RESULT_TRANSPORT"
-
-
-def transport() -> str:
-    """The configured result transport: ``"shm"`` or ``"pickle"``."""
-    value = os.environ.get(TRANSPORT_ENV, "shm").strip().lower()
-    return "pickle" if value == "pickle" else "shm"
 
 
 @dataclass(frozen=True)
@@ -61,11 +51,9 @@ def marshal(value: Any, min_bytes: int = SHM_MIN_BYTES) -> Any:
 
     Returns an :class:`ShmResult` handle if the value was shipped via
     shared memory, or the value itself (caller pickles it as before)
-    when the transport is disabled, the value is not columnar-encodable,
-    or the payload is too small to be worth two syscalls.
+    when the value is not columnar-encodable or the payload is too
+    small to be worth two syscalls.
     """
-    if transport() != "shm":
-        return value
     payload = codec.encode(value)
     if payload is None or len(payload) < min_bytes:
         return value

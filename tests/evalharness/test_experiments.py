@@ -81,14 +81,6 @@ class TestSweepExperiments:
                 periods=(2048,), trials=1, workloads=("nope",), scale=0.1
             )
 
-    def test_sweep_classes_alias_matches_registry(self):
-        from repro.evalharness.experiments import SWEEP_CLASSES, SWEEP_SCALES
-        from repro.workloads.registry import get_workload_class
-
-        assert SWEEP_CLASSES == {
-            name: get_workload_class(name) for name in SWEEP_SCALES
-        }
-
     def test_fig7_small(self):
         res = fig7_samples_vs_period(
             periods=(2048, 8192), trials=2, workloads=("bfs",), scale=0.2

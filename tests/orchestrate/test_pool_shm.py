@@ -6,8 +6,8 @@ the single delivery point in ``next_event``.  These tests pin:
 
 * big results arrive intact through the shm path (and the parent really
   received a handle, not the pickled object),
-* ``REPRO_RESULT_TRANSPORT=pickle`` forces the legacy pipe path and
-  produces pickle-byte-identical results,
+* a result that crossed through shared memory is pickle-byte-identical
+  to the same trial run in-process,
 * no shared-memory segments leak — every marshalled result is either
   redeemed or discarded.
 """
@@ -20,7 +20,7 @@ import pytest
 
 from repro.orchestrate.pool import WorkerPool
 from repro.orchestrate.runner import ParallelRunner, TrialSpec
-from repro.substrate import TRANSPORT_ENV, ShmResult
+from repro.substrate import ShmResult
 from repro.substrate import shm as shm_mod
 
 
@@ -92,20 +92,16 @@ class TestPoolTransport:
         assert list(events.values()) == [{"seed": 7}]
         assert redeemed == []
 
-    def test_pickle_transport_parity(self, monkeypatch):
+    def test_shm_transport_parity_with_inline(self):
         with WorkerPool(workers=2) as pool:
             ids = [pool.submit(big_result, s) for s in range(3)]
-            via_shm = [drain_one for drain_one in (drain(pool, 3),)][0]
-        monkeypatch.setenv(TRANSPORT_ENV, "pickle")
-        with WorkerPool(workers=2) as pool:
-            ids2 = [pool.submit(big_result, s) for s in range(3)]
-            via_pipe = drain(pool, 3)
-        for s, (a, b) in enumerate(zip(ids, ids2)):
-            assert pickle.dumps(via_shm[a]) == pickle.dumps(via_pipe[b])
+            via_shm = drain(pool, 3)
+        for s, task_id in enumerate(ids):
+            assert pickle.dumps(via_shm[task_id]) == pickle.dumps(big_result(s))
 
 
 class TestRunnerTransport:
-    def test_executor_path_round_trips(self):
+    def test_runner_pool_round_trips(self):
         before = shm_segments()
         runner = ParallelRunner(workers=2)
         specs = [TrialSpec("exp", {"i": i}, i) for i in range(4)]
@@ -117,14 +113,13 @@ class TestRunnerTransport:
             )
         assert shm_segments() == before
 
-    def test_executor_parity_with_pickle_transport(self, monkeypatch):
+    def test_runner_parity_with_inline(self):
         specs = [TrialSpec("exp", {"i": i}, i) for i in range(3)]
         via_shm = ParallelRunner(workers=2).map(big_result, specs)
-        monkeypatch.setenv(TRANSPORT_ENV, "pickle")
-        via_pipe = ParallelRunner(workers=2).map(big_result, specs)
+        inline = ParallelRunner(workers=1).map(big_result, specs)
         # byte-identity is a per-result contract (each result is cached
         # and shipped on its own); object sharing ACROSS results is not
-        for a, b in zip(via_shm, via_pipe):
+        for a, b in zip(via_shm, inline):
             assert pickle.dumps(a) == pickle.dumps(b)
 
     def test_serial_path_untouched(self):

@@ -1,24 +1,20 @@
 """WorkerPool: persistent workers, event stream, crash recovery.
 
-The pool exists so a long-running driver (the serve scheduler, or a
-``ParallelRunner(pool=...)``) stops paying process spin-up and
-teardown per job: across 50 sequential jobs the worker PIDs must not
-change and the parent must not leak file descriptors.
+The pool exists so a long-running driver (the serve scheduler) stops
+paying process spin-up and teardown per job: across 50 sequential jobs
+the worker PIDs must not change and the parent must not leak file
+descriptors.  ``ParallelRunner`` grids run on a pool opened per call.
 """
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.errors import ReproError
-from repro.orchestrate import (
-    ParallelRunner,
-    ResultCache,
-    TrialSpec,
-    WorkerPool,
-)
+from repro.orchestrate import ParallelRunner, TrialSpec, WorkerPool
 
 
 def echo_task(x):
@@ -112,55 +108,82 @@ class TestTaskFlow:
         with pytest.raises(ReproError, match="closed"):
             pool.submit(echo_task, 0)
 
+    def test_close_reads_events_left_unread(self):
+        # thousands of unread events overfill the event pipe; a worker
+        # cannot exit until someone reads them, so close() must
+        pool = WorkerPool(workers=1)
+        for i in range(3000):
+            pool.submit(echo_task, i)
+        t0 = time.monotonic()
+        pool.close(timeout=10)
+        assert time.monotonic() - t0 < 5
+
     def test_needs_at_least_one_worker(self):
         with pytest.raises(ReproError):
             WorkerPool(workers=0)
 
 
 class TestWorkerReuse:
-    def test_stable_pids_and_no_fd_growth_across_50_jobs(self, tmp_path):
+    def test_stable_pids_and_no_fd_growth_across_50_jobs(self):
         """The reuse contract: 50 sequential jobs on one pool touch the
         same worker processes and leak no descriptors in the parent."""
+
+        def job(pool):
+            ids = [pool.submit(echo_trial, s) for s in trial_specs(4)]
+            got = {}
+            while len(got) < len(ids):
+                kind, task_id, payload = pool.next_event(timeout=30)
+                assert kind == "done", (kind, payload)
+                got[task_id] = payload
+            return [got[t] for t in ids]
+
         with WorkerPool(workers=2) as pool:
-            runner = ParallelRunner(
-                pool=pool, cache=ResultCache(tmp_path)
-            )
             # warm-up settles lazily-created fds (queue feeder threads)
-            runner.map(echo_trial, trial_specs(4))
+            job(pool)
             pids_before = sorted(pool.pids())
             fds_before = open_fds()
             seen_pids = set()
             for _job in range(50):
-                out = runner.map(echo_trial, trial_specs(4))
-                seen_pids.update(r["pid"] for r in out if "pid" in r)
+                out = job(pool)
+                assert [r["value"] for r in out] == [0, 10, 20, 30]
+                seen_pids.update(r["pid"] for r in out)
             assert sorted(pool.pids()) == pids_before
-            # cached rows replay stored pids; live ones stay in the pool
-            assert seen_pids <= set(pids_before) | {os.getpid()}
+            assert seen_pids <= set(pids_before)
             assert open_fds() <= fds_before + 2
         assert len(pids_before) == 2
 
-    def test_pool_runner_matches_serial(self, tmp_path):
+    def test_pool_runner_matches_serial(self):
         serial = ParallelRunner(workers=1).map(echo_trial, trial_specs())
-        with WorkerPool(workers=3) as pool:
-            pooled = ParallelRunner(pool=pool).map(echo_trial, trial_specs())
+        pooled = ParallelRunner(workers=3).map(echo_trial, trial_specs())
         for s, p in zip(serial, pooled):
             assert {k: s[k] for k in ("value", "seed")} == {
                 k: p[k] for k in ("value", "seed")
             }
 
     def test_runner_reports_pool_capacity(self):
-        with WorkerPool(workers=3) as pool:
-            assert ParallelRunner(pool=pool).workers == 3
+        runner = ParallelRunner(workers=3)
+        assert runner.workers == 3
+        out = runner.map(echo_trial, trial_specs())
+        assert runner.last_report.workers == 3
+        pids = {r["pid"] for r in out}
+        assert os.getpid() not in pids and len(pids) <= 3
 
     def test_pool_survives_runner_exceptions(self):
+        # a task that raises (what a runner re-raises) leaves the pool
+        # serving the next job on the same workers
         with WorkerPool(workers=2) as pool:
-            runner = ParallelRunner(pool=pool)
-            specs = [TrialSpec("pool-test", {"value": 2}, seed=0)]
-            with pytest.raises(ValueError, match="exploded"):
-                runner.map(boom_trial, specs)
-            # same pool still serves the next job
-            out = runner.map(echo_trial, trial_specs(2))
-            assert [r["value"] for r in out] == [0, 10]
+            pids = sorted(pool.pids())
+            pool.submit(boom_trial, TrialSpec("pool-test", {"value": 2}, 0))
+            kind, _tid, payload = pool.next_event(timeout=30)
+            assert kind == "error" and "exploded" in str(payload)
+            ids = [pool.submit(echo_trial, s) for s in trial_specs(2)]
+            got = {}
+            for _ in ids:
+                kind, task_id, payload = pool.next_event(timeout=30)
+                assert kind == "done"
+                got[task_id] = payload
+            assert [got[t]["value"] for t in ids] == [0, 10]
+            assert sorted(pool.pids()) == pids
 
 
 def boom_trial(spec: TrialSpec):
@@ -207,35 +230,36 @@ class TestCrashRecovery:
 
     def test_runner_on_pool_retries_lost_trial_once(self, tmp_path):
         pidfile = tmp_path / "pid"
-
-        def run():
-            return ParallelRunner(pool=pool).map(
-                flaky_trial,
-                [TrialSpec("pool-test", {"scratch": str(tmp_path)}, seed=0)],
+        specs = [
+            TrialSpec("pool-test", {"scratch": str(tmp_path)}, seed=0),
+            TrialSpec("pool-test", {"scratch": None}, seed=1),
+        ]
+        result = {}
+        t = threading.Thread(
+            target=lambda: result.update(
+                rows=ParallelRunner(workers=2).map(flaky_trial, specs)
             )
-
-        import threading
-
-        with WorkerPool(workers=1) as pool:
-            result = {}
-            t = threading.Thread(
-                target=lambda: result.update(rows=run())
-            )
-            t.start()
-            deadline = time.monotonic() + 30
-            while not pidfile.exists():
-                assert time.monotonic() < deadline, "trial never started"
-                time.sleep(0.02)
-            os.kill(int(pidfile.read_text()), signal.SIGKILL)
-            t.join(timeout=60)
-            assert not t.is_alive(), "runner hung after worker death"
-        assert result["rows"] == [{"metric": 0.0}]
+        )
+        t.start()
+        deadline = time.monotonic() + 30
+        while not pidfile.exists():
+            assert time.monotonic() < deadline, "trial never started"
+            time.sleep(0.02)
+        os.kill(int(pidfile.read_text()), signal.SIGKILL)
+        t.join(timeout=60)
+        assert not t.is_alive(), "runner hung after worker death"
+        assert result["rows"] == [{"metric": 0.0}, {"metric": 1.0}]
 
 
 def flaky_trial(spec: TrialSpec):
-    """Stall on first execution (after announcing the pid), fast on retry."""
+    """Stall on first execution (after announcing the pid), fast on retry.
+
+    A spec without a scratch directory never stalls.
+    """
     from pathlib import Path
 
+    if spec.config["scratch"] is None:
+        return {"metric": float(spec.seed)}
     scratch = Path(spec.config["scratch"])
     marker = scratch / "ran"
     if not marker.exists():

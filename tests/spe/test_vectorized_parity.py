@@ -14,6 +14,8 @@ Covers the three fast paths the perf rewrite introduced:
   equivalents.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,21 @@ class TestReferencePathToggle:
                 assert reference_active()
             assert reference_active()
         assert not reference_active()
+
+    def test_reference_path_reaches_pool_workers(self):
+        from repro.orchestrate import ParallelRunner, TrialSpec
+
+        grid = [TrialSpec("refpath", {}, seed) for seed in range(4)]
+        with reference_path():
+            inside = ParallelRunner(workers=2).map(toggle_in_worker, grid)
+        outside = ParallelRunner(workers=2).map(toggle_in_worker, grid)
+        assert all(pid != os.getpid() for _, pid in inside + outside)
+        assert [active for active, _ in inside] == [True] * 4
+        assert [active for active, _ in outside] == [False] * 4
+
+
+def toggle_in_worker(spec) -> tuple[bool, int]:
+    return reference_active(), os.getpid()
 
 
 def scan_case(mode: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -426,17 +443,6 @@ class TestBulkBufferPrimitives:
                            drain_bytes=2048)
         assert a.head == 0 and a.bytes_written == 0
         assert b.head == 0 and b.bytes_written == 0
-
-    def test_reference_path_env_flag_for_worker_processes(self):
-        import os
-
-        from repro.spe.refpath import _ENV_FLAG
-
-        assert _ENV_FLAG not in os.environ
-        with reference_path():
-            # what a freshly spawned pool worker would inherit
-            assert os.environ.get(_ENV_FLAG) == "1"
-        assert _ENV_FLAG not in os.environ
 
     def test_write_records_packed_equals_sequential(self, rng):
         for trial in range(30):

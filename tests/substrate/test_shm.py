@@ -8,11 +8,9 @@ import pytest
 from repro.errors import SubstrateError
 from repro.substrate import (
     SHM_MIN_BYTES,
-    TRANSPORT_ENV,
     ShmResult,
     discard,
     marshal,
-    transport,
     unmarshal,
 )
 
@@ -56,22 +54,6 @@ class TestMarshal:
         assert isinstance(handle, ShmResult)
         got = unmarshal(handle)
         assert np.array_equal(got["x"], np.arange(64, dtype=np.uint64))
-
-
-class TestTransportSwitch:
-    def test_default_is_shm(self, monkeypatch):
-        monkeypatch.delenv(TRANSPORT_ENV, raising=False)
-        assert transport() == "shm"
-
-    def test_pickle_disables_marshalling(self, monkeypatch):
-        monkeypatch.setenv(TRANSPORT_ENV, "pickle")
-        assert transport() == "pickle"
-        value = big_value()
-        assert marshal(value) is value
-
-    def test_unknown_value_means_shm(self, monkeypatch):
-        monkeypatch.setenv(TRANSPORT_ENV, "bogus")
-        assert transport() == "shm"
 
 
 class TestFailure:
