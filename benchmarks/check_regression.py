@@ -11,11 +11,10 @@ Two kinds of failure::
   max-slowdown``).  The default factor of 2 absorbs machine-to-machine
   variance while catching an accidentally de-vectorized hot path;
 * **speedup floor** — entries that benchmark a vectorized path against
-  its retained reference carry a ``min_speedup`` (e.g. 5x for the
-  collision-heavy scan, 10x for the small-aux profile run and for the
-  mmap cache-hit deserialization vs ``pickle.loads``).  Floors are
-  ratios on the *same* machine, so they are checked against the fresh
-  run alone and are machine-independent.
+  its retained reference carry a ``min_speedup`` (5x for the
+  collision-heavy scan, 10x for the small-aux profile run).  Floors
+  are ratios on the *same* machine, so they are checked against the
+  fresh run alone and are machine-independent.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ client sees:
     Admission metering in trial tokens per tenant, rejected with
     structured ``quota_exceeded`` errors carrying ``retry_after_s``.
 :class:`CacheReplicator` (with :func:`partition_indices`)
-    Byte-exact entry movement that makes a cluster rerun a pure mmap
-    cache replay on every host.
+    Byte-exact entry movement that makes a cluster rerun a pure cache
+    replay on every host.
 
 Start a two-host cluster in-process (tests do exactly this)::
 

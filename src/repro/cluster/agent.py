@@ -9,10 +9,10 @@ what cluster membership requires:
   a private temporary directory when none is given), because cache
   replication is what makes cluster reruns pure replays;
 * two extra protocol ops, ``cache_export`` / ``cache_import``, moving
-  raw entry bytes for :class:`~repro.cluster.CacheReplicator`;
-* a ``ping`` that identifies its role and reports session cache
-  counters (``cache_hits_mmap`` et al.), which is how the CI
-  cluster-smoke job proves a replicated rerun touched no worker.
+  raw ``.pkl`` entry bytes for :class:`~repro.cluster.CacheReplicator`;
+* a ``ping`` that identifies its role and reports cumulative cache
+  counters (``cache_hits`` et al.), which is how the CI cluster-smoke
+  job proves a replicated rerun touched no worker.
 
 The coordinator drives agents purely through the public protocol —
 ``submit`` with ``trial_indices`` for its shard of a grid, ``stream``
@@ -81,20 +81,19 @@ class ShardAgent(ProfilingServer):
     def _op_cache_export(self, params: dict[str, Any]) -> dict[str, Any]:
         key = self._require_key(params)
         try:
-            pkl, cols = self.cache.export_entry(key)
+            pkl = self.cache.export_entry(key)
         except KeyError:
             raise ServeError(
                 f"cache entry {key!r} not held by this agent", key=key
             ) from None
-        return protocol.ok_response(key=key, **replicate.encode_entry(pkl, cols))
+        return protocol.ok_response(key=key, **replicate.encode_entry(pkl))
 
     def _op_cache_import(self, params: dict[str, Any]) -> dict[str, Any]:
         key = self._require_key(params)
         if self.cache.contains(key):
             # idempotent fast path: identical bytes are already here
             return protocol.ok_response(key=key, imported=False)
-        pkl, cols = replicate.decode_entry(params)
-        self.cache.import_entry(key, pkl, cols)
+        self.cache.import_entry(key, replicate.decode_entry(params))
         return protocol.ok_response(key=key, imported=True)
 
     # -- identity ----------------------------------------------------------
@@ -104,7 +103,7 @@ class ShardAgent(ProfilingServer):
         info["role"] = "shard-agent"
         # cumulative cache counters (stats.json totals plus the not-yet
         # flushed session tail) under cache_* names: what the cluster
-        # smoke asserts on to prove a rerun was a pure mmap replay
+        # smoke asserts on to prove a rerun was a pure cache replay
         totals = self.cache.persistent_stats()
         for k, v in self.cache.stats.as_dict().items():
             totals[k] += v

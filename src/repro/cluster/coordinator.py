@@ -27,7 +27,7 @@ owns no worker pool at all.  Instead it:
 6. **Replicates** each freshly-computed cache entry — pulled from the
    shard that computed it, pushed to every other agent — so one
    cluster run leaves every host able to replay the whole spec from
-   mmap, and
+   its own cache, and
 7. **Rebuilds** the final report from raw cache objects (not from the
    JSON rows that crossed the wire), which is what makes the rendered
    report *byte-identical* to a single-host

@@ -7,19 +7,20 @@ spec would then re-shard and hit only ``1/n`` of its trials per agent.
 freshly-computed entry from the shard that owns it into its own
 cache, then *pushes* the full set to every other agent, so after one
 cluster run **every host holds every entry** and a rerun is a pure
-mmap cache replay everywhere (the ``cluster_cache_replay`` benchmark
-and the CI cluster-smoke job pin this).
+cache replay everywhere (the ``cluster_cache_replay`` benchmark and
+the CI cluster-smoke job pin this).
 
-Entries travel as the raw on-disk bytes —
+Each entry travels as its raw ``.pkl`` bytes —
 :meth:`~repro.orchestrate.ResultCache.export_entry` /
 :meth:`~repro.orchestrate.ResultCache.import_entry` — base64-wrapped
 into one ``cache_export`` / ``cache_import`` protocol line per entry.
 Byte-exactness is the point: a replicated ``.pkl`` is
-indistinguishable from a locally-computed one, so cache keys, parity
-gates, and the zero-copy ``.cols`` mmap path behave identically on
-every host.  One entry per line keeps each message far under the
-protocol's 8 MiB line ceiling; a single entry larger than that cannot
-be replicated and is reported, not silently dropped.
+indistinguishable from a locally-computed one, so cache keys and
+parity gates behave identically on every host.  One entry per line
+keeps each message far under the protocol's 8 MiB line ceiling; a
+single entry larger than that cannot be replicated and is reported,
+not silently dropped.  Peers that also send a ``cols`` field (the
+columnar sidecar older versions kept) are understood: it is ignored.
 """
 
 from __future__ import annotations
@@ -32,26 +33,17 @@ from repro.serve.client import ServerClient
 from repro.serve.policy import DEFAULT_POLICY, RetryPolicy
 
 
-def encode_entry(pkl: bytes, cols: bytes | None) -> dict:
+def encode_entry(pkl: bytes) -> dict:
     """Wire form of one cache entry (base64 over the JSON protocol)."""
-    return {
-        "pkl": base64.b64encode(pkl).decode("ascii"),
-        "cols": None if cols is None else base64.b64encode(cols).decode("ascii"),
-    }
+    return {"pkl": base64.b64encode(pkl).decode("ascii")}
 
 
-def decode_entry(payload: dict) -> tuple[bytes, bytes | None]:
+def decode_entry(payload: dict) -> bytes:
     """Inverse of :func:`encode_entry`; raises on malformed payloads."""
     try:
-        pkl = base64.b64decode(payload["pkl"], validate=True)
-        cols_b64 = payload.get("cols")
-        cols = (
-            None if cols_b64 is None
-            else base64.b64decode(cols_b64, validate=True)
-        )
+        return base64.b64decode(payload["pkl"], validate=True)
     except (KeyError, TypeError, ValueError) as e:
         raise ClusterError(f"malformed cache entry payload: {e}") from None
-    return pkl, cols
 
 
 class CacheReplicator:
@@ -95,8 +87,7 @@ class CacheReplicator:
                 if e.code == "bad_request":
                     continue  # agent doesn't have it either
                 raise
-            pkl, cols = decode_entry(response)
-            self.cache.import_entry(key, pkl, cols)
+            self.cache.import_entry(key, decode_entry(response))
             pulled += 1
         return pulled
 
@@ -113,12 +104,12 @@ class CacheReplicator:
         pushed = 0
         for key in keys:
             try:
-                pkl, cols = self.cache.export_entry(key)
+                pkl = self.cache.export_entry(key)
             except KeyError:
                 continue  # lost trial: nothing to publish
             deadline.check("cache push", key=key, pushed=pushed)
             response = client.request(
-                "cache_import", key=key, **encode_entry(pkl, cols)
+                "cache_import", key=key, **encode_entry(pkl)
             )
             pushed += 1 if response.get("imported") else 0
         return pushed

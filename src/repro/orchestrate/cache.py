@@ -18,22 +18,21 @@ Keys are SHA-256 digests of a canonical JSON rendering of those four
 components, so any config-field change produces a different key and the
 stale entry is simply never read again.  Values are stored with
 :mod:`pickle` and written atomically (temp file + ``os.replace``) so a
-killed run never leaves a torn entry.
+killed run never leaves a torn entry; a torn or corrupt entry left by
+an older crash is deleted and counted as a miss rather than failing the
+sweep.
 
-Columnar-encodable values additionally get a ``.cols`` sidecar holding
-the :mod:`repro.substrate` payload.  A warm hit ``mmap``s the sidecar
-and decodes it as zero-copy column views — no ``pickle.loads``, no
-array copies — while the ``.pkl`` stays byte-identical to the
-pre-substrate cache and remains the source of truth for
-:meth:`contains`/:meth:`entries`.  Legacy directories (``.pkl`` only)
-read through transparently, and a torn or corrupt file of either kind
-is deleted and counted as a miss rather than failing the sweep.
+Every trial recipe returns a row of a few summary numbers (a few
+hundred bytes of pickle), so a warm hit is one small file read plus
+``pickle.loads``.  Cache directories written by older versions also
+hold ``<key>.cols`` columnar sidecars next to each ``.pkl``:
+:meth:`ResultCache.get` ignores them and :meth:`ResultCache.clear`
+removes them.
 
-Hit/miss/store counters (split by mmap vs pickle deserialization, with
-cumulative deserialization seconds) are kept per session and folded
-into a persistent ``stats.json`` in the cache directory by
-:meth:`flush_stats`, which is what ``python -m repro cache stats``
-reports.
+Hit/miss/store counters, with cumulative deserialization time, are
+kept per session and folded into a persistent ``stats.json`` in the
+cache directory by :meth:`flush_stats`, which is what
+``python -m repro cache stats`` reports.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import mmap
 import numbers
 import os
 import pickle
@@ -52,10 +50,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-
-from repro.errors import SubstrateError
-from repro.substrate import codec as _codec
-from repro.substrate.format import FORMAT_VERSION as SUBSTRATE_VERSION
 
 #: default on-disk location when $REPRO_CACHE_DIR is unset
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro"
@@ -145,36 +139,32 @@ def cache_key(
 
 @dataclasses.dataclass
 class CacheStats:
-    """Per-session lookup counters (folded into stats.json on flush).
-
-    ``hits`` stays the total (``hits_mmap + hits_pickle``) so existing
-    consumers of stats.json keep reading the number they always did;
-    the split plus the cumulative deserialization seconds per path is
-    what ``repro cache stats`` uses to report hit cost.
-    """
+    """Per-session lookup counters (folded into stats.json on flush)."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    hits_mmap: int = 0         #: hits served as mmap'd columnar views
-    hits_pickle: int = 0       #: hits that went through pickle.loads
-    deser_ns_mmap: int = 0     #: deserialization time on the mmap path
-    deser_ns_pickle: int = 0   #: deserialization time on the pickle path
+    deser_ns: int = 0  #: time spent reading and unpickling hits
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "hits_mmap": self.hits_mmap,
-            "hits_pickle": self.hits_pickle,
-            "deser_ns_mmap": self.deser_ns_mmap,
-            "deser_ns_pickle": self.deser_ns_pickle,
-        }
+        return dataclasses.asdict(self)
 
 
 #: every counter key persisted in stats.json
 _STAT_KEYS = tuple(CacheStats().as_dict())
+
+
+def _write_atomic(path: Path, blob: bytes) -> None:
+    """Publish ``blob`` at ``path`` via a sibling temp file + ``os.replace``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 class ResultCache:
@@ -186,17 +176,9 @@ class ResultCache:
     sharing a directory stay consistent.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | Path | None = None,
-        use_substrate: bool = True,
-    ) -> None:
+    def __init__(self, cache_dir: str | Path | None = None) -> None:
         self.dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.stats = CacheStats()
-        #: when False, neither write nor read ``.cols`` sidecars — the
-        #: pre-substrate behaviour, used by parity tests and the
-        #: ``cache_hit_mmap`` benchmark's reference timing
-        self.use_substrate = use_substrate
 
     # -- keying ------------------------------------------------------------
 
@@ -211,149 +193,62 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self._objects() / key[:2] / f"{key}.pkl"
 
-    def _cols_path(self, key: str) -> Path:
-        return self._objects() / key[:2] / f"{key}.cols"
-
     def contains(self, key: str) -> bool:
-        # the .pkl is the entry; a stray .cols without one is not a hit
         return self._path(key).is_file()
-
-    def _get_cols(self, key: str) -> Any | None:
-        """Serve a hit from the mmap'd columnar sidecar; None to fall
-        back to the pickle path (missing or corrupt sidecar — the
-        corrupt one is deleted so it is never retried)."""
-        path = self._cols_path(key)
-        try:
-            with open(path, "rb") as f:
-                mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            path.unlink(missing_ok=True)
-            return None
-        t0 = time.perf_counter_ns()
-        try:
-            # zero-copy: column views alias the mapping, which stays
-            # alive (and the file readable) for as long as they do
-            value = _codec.decode(mapped)
-        except SubstrateError:
-            path.unlink(missing_ok=True)
-            return None
-        self.stats.deser_ns_mmap += time.perf_counter_ns() - t0
-        self.stats.hits += 1
-        self.stats.hits_mmap += 1
-        return value
 
     def get(self, key: str, default: Any = None) -> Any:
         """Load an entry, counting a hit or a miss.
 
-        Prefers the mmap'd columnar sidecar (no ``pickle.loads``; see
-        module docstring), reading through to the ``.pkl`` for legacy
-        or non-columnar entries.  A corrupt or truncated file of either
-        kind (torn by an old crash, or pickled by an incompatible
-        interpreter) is deleted — a corrupt sidecar falls back to the
-        pickle, a corrupt pickle is a miss and the trial recomputes.
+        A corrupt or truncated entry (torn by an old crash, or pickled
+        by an incompatible interpreter) is deleted and counted as a
+        miss, so the trial recomputes.
         """
-        if self.use_substrate and self._path(key).is_file():
-            value = self._get_cols(key)
-            if value is not None:
-                return value
         path = self._path(key)
         t0 = time.perf_counter_ns()
         try:
-            blob = path.read_bytes()
-            value = pickle.loads(blob)
+            value = pickle.loads(path.read_bytes())
         except FileNotFoundError:
             self.stats.misses += 1
             return default
         except Exception:
             path.unlink(missing_ok=True)
-            self._cols_path(key).unlink(missing_ok=True)
             self.stats.misses += 1
             return default
-        self.stats.deser_ns_pickle += time.perf_counter_ns() - t0
+        self.stats.deser_ns += time.perf_counter_ns() - t0
         self.stats.hits += 1
-        self.stats.hits_pickle += 1
         return value
 
     def put(self, key: str, value: Any) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        _write_atomic(
+            self._path(key),
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+        )
         self.stats.stores += 1
-        if not self.use_substrate:
-            return
-        # additive sidecar: the .pkl above is byte-identical to the
-        # pre-substrate cache; losing a .cols (crash between the two
-        # writes) only costs the next hit a pickle read-through
-        payload = _codec.encode(value)
-        cols = self._cols_path(key)
-        if payload is None:
-            cols.unlink(missing_ok=True)  # value type changed: no stale view
-            return
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(payload)
-            os.replace(tmp, cols)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
 
     # -- replication (byte-exact entry transfer) ---------------------------
 
-    def export_entry(self, key: str) -> tuple[bytes, bytes | None]:
-        """The raw on-disk bytes of one entry: ``(pkl, cols-or-None)``.
+    def export_entry(self, key: str) -> bytes:
+        """The raw ``.pkl`` bytes of one entry.
 
         The replication primitive: a cluster peer that
         :meth:`import_entry`'s these bytes holds a byte-identical copy
-        of the entry — same pickle payload, same columnar sidecar — so
-        cache keys, warm-hit mmap decoding, and parity gates behave
-        exactly as if the peer had computed the trial itself.  Raises
-        ``KeyError`` for unknown keys (callers decide whether a missing
-        entry is an error or a skip).
+        of the entry, so cache keys and parity gates behave exactly as
+        if the peer had computed the trial itself.  Raises ``KeyError``
+        for unknown keys (callers decide whether a missing entry is an
+        error or a skip).
         """
-        path = self._path(key)
         try:
-            pkl = path.read_bytes()
+            return self._path(key).read_bytes()
         except FileNotFoundError:
             raise KeyError(key) from None
-        try:
-            cols: bytes | None = self._cols_path(key).read_bytes()
-        except FileNotFoundError:
-            cols = None
-        return pkl, cols
 
-    def import_entry(
-        self, key: str, pkl: bytes, cols: bytes | None = None
-    ) -> None:
+    def import_entry(self, key: str, pkl: bytes) -> None:
         """Store raw entry bytes exported from a peer, atomically.
 
-        Writes are temp-file + ``os.replace`` like :meth:`put`, so a
-        torn import never leaves a corrupt entry; the ``.pkl`` lands
-        before the ``.cols`` sidecar (losing only the sidecar costs a
-        pickle read-through, never a wrong result).  Counts as a store.
+        Written like :meth:`put`, so a torn import never leaves a
+        corrupt entry.  Counts as a store.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        for target, blob in ((path, pkl), (self._cols_path(key), cols)):
-            if blob is None:
-                continue
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(blob)
-                os.replace(tmp, target)
-            except BaseException:
-                Path(tmp).unlink(missing_ok=True)
-                raise
+        _write_atomic(self._path(key), pkl)
         self.stats.stores += 1
 
     # -- statistics --------------------------------------------------------
@@ -362,8 +257,8 @@ class ResultCache:
         return self.dir / _STATS_FILE
 
     def persistent_stats(self) -> dict[str, int]:
-        """Counters from stats.json (legacy files lack the newer keys,
-        which read as 0)."""
+        """Counters from stats.json (keys a file lacks read as 0; keys
+        this version no longer counts are dropped)."""
         try:
             raw = json.loads(self._stats_path().read_text())
             return {k: int(raw.get(k, 0)) for k in _STAT_KEYS}
@@ -371,56 +266,32 @@ class ResultCache:
             return {k: 0 for k in _STAT_KEYS}
 
     def flush_stats(self) -> dict[str, int]:
-        """Fold session counters into stats.json; returns the new totals.
-
-        stats.json also records ``substrate_version`` — the columnar
-        format version the sidecars were written with.
-        """
+        """Fold session counters into stats.json; returns the new totals."""
         session = self.stats.as_dict()
         if not any(session.values()):
             return self.persistent_stats()
         totals = self.persistent_stats()
         for k, v in session.items():
             totals[k] += v
-        self.dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump({**totals, "substrate_version": SUBSTRATE_VERSION}, f)
-            os.replace(tmp, self._stats_path())
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        _write_atomic(self._stats_path(), json.dumps(totals).encode())
         self.stats = CacheStats()
         return totals
 
     # -- maintenance -------------------------------------------------------
 
     def entries(self) -> list[Path]:
-        if not self._objects().is_dir():
-            return []
         return sorted(self._objects().glob("*/*.pkl"))
-
-    def cols_entries(self) -> list[Path]:
-        """The columnar sidecar files (a subset of the entries)."""
-        if not self._objects().is_dir():
-            return []
-        return sorted(self._objects().glob("*/*.cols"))
 
     def size_bytes(self) -> int:
         return sum(p.stat().st_size for p in self.entries())
 
-    def payload_bytes(self) -> int:
-        """Total bytes of columnar payloads (the ``.cols`` sidecars)."""
-        return sum(p.stat().st_size for p in self.cols_entries())
-
     def clear(self) -> int:
-        """Delete every entry (and the stats file); returns entries removed."""
-        removed = 0
-        for p in self.entries():
-            p.unlink(missing_ok=True)
-            removed += 1
-        for p in self.cols_entries():
+        """Delete every entry (and the stats file); returns entries removed.
+
+        Also removes the ``.cols`` sidecars older versions wrote.
+        """
+        entries = self.entries()
+        for p in [*entries, *self._objects().glob("*/*.cols")]:
             p.unlink(missing_ok=True)
         for sub in sorted(self._objects().glob("*"), reverse=True):
             if sub.is_dir():
@@ -430,32 +301,24 @@ class ResultCache:
                     pass
         self._stats_path().unlink(missing_ok=True)
         self.stats = CacheStats()
-        return removed
+        return len(entries)
 
     def describe(self) -> str:
         """Human-readable stats block (the ``cache stats`` output).
 
         Every line keeps the ``key: value`` shape CI's smoke job parses.
-        The deserialization lines answer "what does a warm hit cost":
-        cumulative seconds spent turning cache files back into objects,
-        split by path — mmap'd columnar views vs ``pickle.loads``.
+        ``deserialize`` answers "what does a warm hit cost": cumulative
+        time spent reading and unpickling cache files.
         """
         totals = self.persistent_stats()
         for k, v in self.stats.as_dict().items():
             totals[k] += v
-        n = len(self.entries())
         lines = [
             f"cache directory: {self.dir}",
-            f"entries: {n}",
+            f"entries: {len(self.entries())}",
             f"size: {self.size_bytes() / 1024:.1f} KiB",
-            f"columnar entries: {len(self.cols_entries())}",
-            f"columnar payload: {self.payload_bytes() / 1024:.1f} KiB",
-            f"substrate format: v{SUBSTRATE_VERSION}",
             f"hits: {totals['hits']}",
-            f"hits (mmap): {totals['hits_mmap']}",
-            f"hits (pickle): {totals['hits_pickle']}",
-            f"deserialize (mmap): {totals['deser_ns_mmap'] / 1e6:.3f} ms",
-            f"deserialize (pickle): {totals['deser_ns_pickle'] / 1e6:.3f} ms",
+            f"deserialize: {totals['deser_ns'] / 1e6:.3f} ms",
             f"misses: {totals['misses']}",
             f"stores: {totals['stores']}",
         ]

@@ -28,7 +28,7 @@ import json
 import mmap
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ReproError
@@ -123,7 +123,6 @@ class RunReport:
     cache_hits: int = 0
     executed: int = 0
     workers: int = 1
-    extra: dict = field(default_factory=dict)
 
 
 class ParallelRunner:
@@ -178,10 +177,6 @@ class ParallelRunner:
                 self._map_on_pool(fn, pending, results)
         finally:
             if self.cache is not None:
-                # how the hits were served (mmap'd columnar sidecar vs
-                # pickle) — snapshot before flush_stats resets counters
-                report.extra["cache_hits_mmap"] = self.cache.stats.hits_mmap
-                report.extra["cache_hits_pickle"] = self.cache.stats.hits_pickle
                 self.cache.flush_stats()
             self.last_report = report
         return results

@@ -325,7 +325,6 @@ class Session:
                 "cache_hits": runner.last_report.cache_hits,
                 "executed": runner.last_report.executed,
                 "cached": self.cache is not None,
-                **runner.last_report.extra,
             },
         )
 

@@ -256,11 +256,6 @@ class Scheduler:
             # aggregating a partial plan would be meaningless
             job.set_state("done")
         else:
-            # session-level cache counters (mmap vs pickle hit paths)
-            # accumulated since the previous job finalised — the flush
-            # below resets them, so in the single scheduler thread they
-            # approximate this job's share
-            stats = self.cache.stats if self.cache is not None else None
             job.report = self.session.build_report(
                 job.spec,
                 job.rows,
@@ -270,8 +265,6 @@ class Scheduler:
                     "cache_hits": job.cached,
                     "executed": job.total - job.cached,
                     "cached": self.cache is not None,
-                    "cache_hits_mmap": stats.hits_mmap if stats else 0,
-                    "cache_hits_pickle": stats.hits_pickle if stats else 0,
                 },
             )
             job.set_state("done")

@@ -1,11 +1,9 @@
 """Zero-copy columnar result substrate.
 
-The data plane that moves profiling results between layers — worker to
-pool, pool to cache, cache to server — historically paid a full pickle
-round trip at every hop.  This package replaces the representation with
-a versioned, self-describing columnar payload (:mod:`.format`), an
+A versioned, self-describing columnar payload (:mod:`.format`), an
 object codec pinned byte-identical to pickle (:mod:`.codec`), and a
-shared-memory transport (:mod:`.shm`):
+shared-memory transport (:mod:`.shm`) that ships large worker results
+to the pool's parent without pickling them through the pipe:
 
 * :func:`encode` / :func:`decode` — object tree <-> payload bytes, with
   ndarray leaves decoded as zero-copy views,
@@ -15,10 +13,13 @@ shared-memory transport (:mod:`.shm`):
   ``multiprocessing.shared_memory`` segment instead of the pipe,
 * :func:`register` — opt a dataclass or enum into the codec.
 
-Pickle remains the fallback at every seam: :func:`encode` returns
-``None`` for unsupported objects, corrupt payloads raise
+Pickle remains the fallback: :func:`encode` returns ``None`` for
+unsupported objects, corrupt payloads raise
 :class:`~repro.errors.SubstrateError`, and callers fall back rather
-than fail.  See ``docs/architecture.md`` (result substrate) and
+than fail.  The transport only engages at :data:`SHM_MIN_BYTES`; every
+trial row the scenario recipes return is far smaller and takes the
+pipe, and the :class:`~repro.orchestrate.ResultCache` stores plain
+pickles.  See ``docs/architecture.md`` (result substrate) and
 ``docs/performance.md`` for layout and measurements.
 """
 

@@ -13,8 +13,8 @@ Both halves go through :func:`repro.substrate.format.encode_payload`;
 :func:`decode` reverses the walk, handing ndarray leaves back as
 zero-copy views into the payload buffer.  The round trip is *pickle
 byte-identical*: ``pickle.dumps(decode(encode(x))) == pickle.dumps(x)``
-for every supported type, which is what lets the result cache serve
-either representation interchangeably (pinned by
+for every supported type, which is what lets a result shipped through
+shared memory stand in for the pickled one (pinned by
 ``tests/substrate/test_parity.py``).
 
 Dataclasses and enums participate via a registry.  Types register
@@ -236,8 +236,8 @@ def decode(buf, copy: bool = False) -> Any:
     """Decode a columnar payload produced by :func:`encode`.
 
     ndarray leaves are zero-copy views into ``buf`` unless ``copy=True``
-    (views into read-only buffers — mmap'd cache entries — come back
-    non-writable, like any :func:`numpy.frombuffer` view).
+    (views into read-only buffers come back non-writable, like any
+    :func:`numpy.frombuffer` view).
     """
     meta, columns = decode_payload(buf, copy=copy)
     return _from_meta(meta, columns, {})

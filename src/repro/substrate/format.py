@@ -12,14 +12,13 @@ The JSON header is self-describing: it carries the payload *meta tree*
 :mod:`repro.substrate.codec`) plus one ``[dtype, shape, offset, nbytes]``
 entry per column.  Offsets are absolute and 64-byte aligned, so a
 decoder can hand out :func:`numpy.frombuffer` views straight into the
-source buffer — decoding a payload from an ``mmap``'d cache file or a
-shared-memory segment costs one JSON parse, never an array copy
-(:func:`decode_payload` with ``copy=False``, the default).
+source buffer — decoding a payload from a shared-memory segment costs
+one JSON parse, never an array copy (:func:`decode_payload` with
+``copy=False``, the default).
 
 The format is versioned: a decoder refuses payloads whose version it
 does not understand, and a truncated or corrupt payload raises
-:class:`~repro.errors.SubstrateError` — callers (the result cache, the
-worker transport) treat that as "not columnar" and fall back to pickle.
+:class:`~repro.errors.SubstrateError`.
 """
 
 from __future__ import annotations

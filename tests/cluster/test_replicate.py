@@ -1,5 +1,7 @@
 """Cache replication: byte-exact export/import, pull/push over agents."""
 
+import base64
+
 import pytest
 
 from repro.cluster import CacheReplicator, ShardAgent, decode_entry, encode_entry
@@ -19,14 +21,10 @@ class TestEntryBytes:
         src = ResultCache(tmp_path / "src")
         dst = ResultCache(tmp_path / "dst")
         key = put_entry(src, value={"metric": 3.5, "samples": 7})
-        pkl, cols = src.export_entry(key)
-        dst.import_entry(key, pkl, cols)
+        pkl = src.export_entry(key)
+        assert pkl == src._path(key).read_bytes()
+        dst.import_entry(key, pkl)
         assert dst._path(key).read_bytes() == src._path(key).read_bytes()
-        if cols is not None:
-            assert (
-                dst._cols_path(key).read_bytes()
-                == src._cols_path(key).read_bytes()
-            )
         assert dst.get(key) == src.get(key)
 
     def test_export_unknown_key_raises_keyerror(self, tmp_path):
@@ -35,15 +33,24 @@ class TestEntryBytes:
 
     def test_import_without_sidecar(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.import_entry("ab" * 32, b"not-a-pickle-but-stored", None)
+        cache.import_entry("ab" * 32, b"not-a-pickle-but-stored")
         assert cache.contains("ab" * 32)
-        assert not cache._cols_path("ab" * 32).exists()
+        assert [p.name for p in cache._path("ab" * 32).parent.iterdir()] == [
+            f"{'ab' * 32}.pkl"
+        ]
 
     def test_wire_roundtrip(self):
-        payload = encode_entry(b"\x00\x01binary", b"cols-bytes")
-        assert decode_entry(payload) == (b"\x00\x01binary", b"cols-bytes")
-        payload = encode_entry(b"solo", None)
-        assert decode_entry(payload) == (b"solo", None)
+        payload = encode_entry(b"\x00\x01binary")
+        assert set(payload) == {"pkl"}
+        assert decode_entry(payload) == b"\x00\x01binary"
+
+    def test_decode_ignores_legacy_cols(self):
+        # older peers also sent the columnar sidecar as "cols"
+        payload = dict(
+            encode_entry(b"solo"), cols=base64.b64encode(b"cols").decode()
+        )
+        assert decode_entry(payload) == b"solo"
+        assert decode_entry(dict(encode_entry(b"solo"), cols=None)) == b"solo"
 
     def test_malformed_payload_is_a_cluster_error(self):
         with pytest.raises(ClusterError):
@@ -93,6 +100,21 @@ class TestAgentOps:
             with pytest.raises(ServeError) as exc:
                 client.request("cache_export", key="f" * 64)
             assert exc.value.code == "bad_request"
+
+    def test_import_from_legacy_peer_stores_only_pkl(self, agent):
+        pkl = b"\x80\x05K\x07."  # pickle of 7
+        key = cache_key("repl", {"n": 7}, 7)
+        with ServerClient(*agent.address) as client:
+            response = client.request(
+                "cache_import", key=key,
+                pkl=base64.b64encode(pkl).decode(),
+                cols=base64.b64encode(b"RCOL-sidecar").decode(),
+            )
+        assert response["imported"] is True
+        path = agent.cache._path(key)
+        assert path.read_bytes() == pkl
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        assert agent.cache.get(key) == 7
 
     def test_cache_ops_require_a_key(self, agent):
         with ServerClient(*agent.address) as client:

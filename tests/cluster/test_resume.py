@@ -20,8 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import Coordinator, JobJournal, read_journal, recover
-from repro.orchestrate import ResultCache
+from repro.cluster import (
+    Coordinator,
+    JobJournal,
+    partition_indices,
+    read_journal,
+    recover,
+)
+from repro.orchestrate import ResultCache, cache_key
 from repro.scenarios import Session
 from repro.serve import ServerClient
 
@@ -87,20 +93,33 @@ class TestSigkillResume:
         self, tmp_path
     ):
         spec = cluster_spec(name="resume-kill", trials=3, seed=71)
+        # the job is held open, not raced: agent a is stopped before the
+        # submit, so its shard cannot land and the coordinator is killed
+        # mid-job however fast agent b's shard finishes.  Shards follow
+        # the cache keys over the agents in --agents order (a, b).
+        keys = [
+            cache_key(t.experiment, t.config, t.seed)
+            for t in Session().plan(spec)
+        ]
+        shards = partition_indices(keys, list(range(len(keys))), 2)
+        assert all(shards), f"both agents need work to hold one: {shards}"
         agent_a, port_a = start_agent(tmp_path / "agent-a")
         agent_b, port_b = start_agent(tmp_path / "agent-b")
         coord = coord2 = None
+        held = False
         try:
             journal = tmp_path / "wal.ndjson"
             coord, cport, _ = start_coordinator(
                 [port_a, port_b], tmp_path / "coord", journal
             )
+            kill_group(agent_a, signal.SIGSTOP)
+            held = True
             with ServerClient("127.0.0.1", cport) as client:
                 ack = client.submit(spec)
                 job_id = ack["job_id"]
                 assert ack["trials"] == 6
-                # wait for at least one journaled landing, then murder
-                # the coordinator with the job still in flight
+                # wait for agent b's journaled landing, then murder the
+                # coordinator with agent a's shard still in flight
                 deadline = time.monotonic() + 90
                 while time.monotonic() < deadline:
                     landed = recover(read_journal(journal)[0])
@@ -111,9 +130,19 @@ class TestSigkillResume:
                     raise AssertionError("no landing ever journaled")
             kill_group(coord)
             coord.wait(timeout=10)
+            kill_group(agent_a, signal.SIGCONT)
+            held = False
 
-            pre = recover(read_journal(journal)[0])[job_id]
+            records = read_journal(journal)[0]
+            pre = recover(records)[job_id]
             assert not pre.terminal  # it really died mid-job
+            assigned = {
+                r["agent"]: r["indices"]
+                for r in records
+                if r["type"] == "shard_assigned" and r["job_id"] == job_id
+            }
+            assert assigned[f"127.0.0.1:{port_a}"] == shards[0]
+            assert pre.landed <= set(shards[1])
             executed_before = {}
             for port in (port_a, port_b):
                 with ServerClient("127.0.0.1", port) as agent:
@@ -162,6 +191,8 @@ class TestSigkillResume:
             assert rec.state == "done"
             assert rec.landed == set(range(6))
         finally:
+            if held:
+                kill_group(agent_a, signal.SIGCONT)
             for proc in (coord, coord2, agent_a, agent_b):
                 if proc is not None:
                     kill_group(proc, signal.SIGTERM)

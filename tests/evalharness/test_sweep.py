@@ -58,7 +58,7 @@ class TestOrchestratedSweep:
         assert a == b
         totals = ResultCache(tmp_path).persistent_stats()
         assert (totals["hits"], totals["misses"], totals["stores"]) == (4, 4, 4)
-        assert totals["hits_mmap"] + totals["hits_pickle"] == totals["hits"]
+        assert totals["deser_ns"] > 0
 
     def test_experiment_names_do_not_collide(self, tmp_path):
         sweep([1], picklable_run, cache=ResultCache(tmp_path),

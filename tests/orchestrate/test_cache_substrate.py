@@ -1,15 +1,15 @@
-"""mmap-backed ResultCache: sidecar serving, torn writes, legacy entries.
+"""Pickle-only ResultCache: entry bytes, torn writes, legacy directories.
 
 The contract under test:
 
-* a warm hit with an intact ``.cols`` sidecar is served as zero-copy
-  views off an ``mmap`` — ``pickle.loads`` is never invoked,
-* the ``.pkl`` file stays byte-identical to what a substrate-free cache
-  writes (cache keys and cached bytes survive the refactor),
-* torn/corrupt files at any layer degrade (sidecar -> pickle fallback;
-  both -> miss + recompute), never crash and never serve garbage,
-* a legacy cache directory (``.pkl`` only, written before the sidecar
-  existed) reads through unchanged.
+* the ``.pkl`` file holds exactly ``pickle.dumps(value,
+  protocol=pickle.HIGHEST_PROTOCOL)`` (cache keys and cached bytes are
+  unchanged from the versions that also wrote a columnar sidecar),
+* a torn or corrupt ``.pkl`` is a miss + recompute, never a crash and
+  never garbage,
+* a cache directory written by those older versions (``.pkl`` +
+  ``.cols`` pairs) reads through: the sidecars are ignored by ``get``
+  and removed by ``clear``.
 """
 
 import pickle
@@ -19,7 +19,9 @@ import pytest
 
 from repro.orchestrate.cache import ResultCache
 from repro.spe.records import SampleBatch
-from repro.substrate import FORMAT_VERSION
+
+#: sidecar-shaped bytes (columnar magic, version 1, padded header)
+LEGACY_COLS = b"RCOL\x01\x00\x00\x00" + bytes(56)
 
 
 def sample_value(n=64):
@@ -30,89 +32,78 @@ def sample_value(n=64):
     return {"batch": SampleBatch.from_columns(**cols), "accuracy": 0.93}
 
 
+def sidecar(cache, key):
+    """Where older versions wrote an entry's columnar sidecar."""
+    return cache._path(key).with_suffix(".cols")
+
+
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path)
 
 
 class TestMmapHit:
-    def test_hit_never_unpickles(self, cache, monkeypatch):
-        key = cache.key("exp", {"p": 1}, 0)
-        cache.put(key, sample_value())
-
-        def boom(*a, **k):  # any unpickle on the hot path is a bug
-            raise AssertionError("pickle.loads invoked on an mmap hit")
-
-        monkeypatch.setattr(pickle, "loads", boom)
-        got = cache.get(key)
-        assert got["accuracy"] == 0.93
-        assert np.array_equal(got["batch"].addr, np.arange(64, dtype=np.uint64))
-        assert cache.stats.hits_mmap == 1
-        assert cache.stats.hits_pickle == 0
-        assert cache.stats.deser_ns_mmap > 0
+    """Warm hits are one read plus ``pickle.loads`` of the ``.pkl``;
+    no value gets an mmap'd sidecar."""
 
     def test_hit_value_matches_pickle_path(self, cache, tmp_path):
         key = cache.key("exp", {"p": 1}, 0)
         value = sample_value()
         cache.put(key, value)
-        via_mmap = cache.get(key)
-        cache._cols_path(key).unlink()
-        via_pickle = ResultCache(tmp_path).get(key)
-        assert pickle.dumps(via_pickle) == pickle.dumps(value)
-        assert np.array_equal(via_mmap["batch"].addr, via_pickle["batch"].addr)
+        got = ResultCache(tmp_path).get(key)
+        assert pickle.dumps(got) == pickle.dumps(value)
+        assert np.array_equal(got["batch"].addr, np.arange(64, dtype=np.uint64))
 
-    def test_pkl_bytes_identical_to_substrate_free_cache(self, tmp_path):
+    def test_pkl_bytes_identical_to_substrate_free_cache(self, cache):
         value = sample_value()
-        a = ResultCache(tmp_path / "a")
-        b = ResultCache(tmp_path / "b", use_substrate=False)
-        key_a = a.key("exp", {"p": 1}, 0)
-        key_b = b.key("exp", {"p": 1}, 0)
-        assert key_a == key_b  # keys don't see the substrate
-        a.put(key_a, value)
-        b.put(key_b, value)
-        assert a._path(key_a).read_bytes() == b._path(key_b).read_bytes()
-        assert not b._cols_path(key_b).exists()
+        key = cache.key("exp", {"p": 1}, 0)
+        cache.put(key, value)
+        assert cache._path(key).read_bytes() == pickle.dumps(
+            value, protocol=pickle.HIGHEST_PROTOCOL
+        )
 
     def test_unencodable_value_has_no_sidecar(self, cache):
-        key = cache.key("exp", {"p": 1}, 0)
-        cache.put(key, object())
-        assert not cache._cols_path(key).exists()
-        assert cache.get(key) is not None  # pickle path still serves it
-        assert cache.stats.hits_pickle == 1
+        for seed, value in enumerate((object(), sample_value())):
+            key = cache.key("exp", {"p": 1}, seed)
+            cache.put(key, value)
+            assert not sidecar(cache, key).exists()
+            assert cache.get(key) is not None
+        assert cache.stats.hits == 2
 
 
 class TestTornWrites:
     @pytest.mark.parametrize("damage", ["truncate", "empty", "garbage"])
     def test_torn_sidecar_falls_back_and_heals(self, cache, damage):
+        # a damaged sidecar left by an older version never reaches get
         key = cache.key("exp", {"p": 1}, 0)
-        cache.put(key, sample_value())
-        cols = cache._cols_path(key)
+        value = sample_value()
+        cache.put(key, value)
+        cols = sidecar(cache, key)
         if damage == "truncate":
-            cols.write_bytes(cols.read_bytes()[: cols.stat().st_size // 2])
+            cols.write_bytes(LEGACY_COLS[:32])
         elif damage == "empty":
             cols.write_bytes(b"")
         else:
             cols.write_bytes(b"RCOLgarbage after a valid magic")
         got = cache.get(key)
         assert got["accuracy"] == 0.93
-        assert not cols.exists()  # torn sidecar deleted, not retried
-        assert cache.stats.hits_pickle == 1
+        assert cache.stats.hits == 1
+        assert cache.clear() == 1
+        assert not cols.exists()
 
     def test_torn_everything_is_a_miss(self, cache):
         key = cache.key("exp", {"p": 1}, 0)
         cache.put(key, sample_value())
         cache._path(key).write_bytes(b"\x80")  # truncated pickle stream
-        cache._cols_path(key).write_bytes(b"\x00")
+        sidecar(cache, key).write_bytes(LEGACY_COLS)
         assert cache.get(key) is None
         assert not cache._path(key).exists()
-        assert not cache._cols_path(key).exists()
         assert cache.stats.misses == 1
 
     def test_recompute_after_tear_round_trips(self, cache):
         key = cache.key("exp", {"p": 1}, 0)
         cache.put(key, sample_value())
         cache._path(key).write_bytes(b"")
-        cache._cols_path(key).unlink()
         assert cache.get(key) is None
         cache.put(key, sample_value())  # the recompute lands cleanly
         assert cache.get(key)["accuracy"] == 0.93
@@ -120,53 +111,57 @@ class TestTornWrites:
 
 class TestLegacyReadThrough:
     def test_pkl_only_directory_serves(self, cache, tmp_path):
-        # a cache dir written before the sidecar existed: .pkl only
         key = cache.key("exp", {"p": 1}, 0)
         cache.put(key, sample_value())
-        cache._cols_path(key).unlink()
         reopened = ResultCache(tmp_path)
         got = reopened.get(key)
         assert got["accuracy"] == 0.93
-        assert reopened.stats.hits_pickle == 1
-        assert reopened.stats.hits_mmap == 0
+        assert reopened.stats.hits == 1
+        assert reopened.stats.deser_ns > 0
 
     def test_stray_sidecar_without_pkl_is_a_miss(self, cache):
         key = cache.key("exp", {"p": 1}, 0)
         cache.put(key, sample_value())
+        sidecar(cache, key).write_bytes(LEGACY_COLS)
         cache._path(key).unlink()
         assert not cache.contains(key)
         assert cache.get(key) is None
+        assert cache.entries() == []
+
+    def test_pkl_and_cols_directory_serves_and_clears(self, tmp_path):
+        # the layout older versions wrote: <key>.pkl + <key>.cols
+        writer = ResultCache(tmp_path)
+        keys = [writer.key("exp", {"p": 1}, seed) for seed in range(3)]
+        for key in keys:
+            writer.put(key, sample_value())
+            sidecar(writer, key).write_bytes(LEGACY_COLS)
+        cache = ResultCache(tmp_path)
+        got = cache.get(keys[0])
+        assert pickle.dumps(got) == pickle.dumps(sample_value())
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+        parsed = dict(line.split(": ", 1) for line in cache.describe().splitlines())
+        assert parsed["entries"] == "3"
+        assert cache.clear() == 3
+        assert list(tmp_path.rglob("*.pkl")) == []
+        assert list(tmp_path.rglob("*.cols")) == []
+        assert list(cache._objects().glob("*")) == []
 
 
 class TestStatsSurface:
-    def test_stats_json_carries_format_version(self, cache):
-        key = cache.key("exp", {"p": 1}, 0)
-        cache.put(key, sample_value())
-        cache.get(key)
-        cache.flush_stats()
-        import json
-
-        raw = json.loads(cache._stats_path().read_text())
-        assert raw["substrate_version"] == FORMAT_VERSION
-
     def test_describe_reports_payloads_and_paths(self, cache):
         key = cache.key("exp", {"p": 1}, 0)
         cache.put(key, sample_value())
-        cache.get(key)  # mmap hit
-        cache._cols_path(key).unlink()
-        cache.get(key)  # pickle hit
+        cache.get(key)
+        cache.get(cache.key("exp", {"p": 2}, 0))
         text = cache.describe()
         parsed = dict(
             line.split(": ", 1) for line in text.splitlines()
         )  # the CI smoke job parses exactly this shape
-        assert parsed["hits (mmap)"] == "1"
-        assert parsed["hits (pickle)"] == "1"
-        assert parsed["substrate format"] == f"v{FORMAT_VERSION}"
-        assert parsed["columnar entries"] == "0"
-        assert parsed["deserialize (mmap)"].endswith(" ms")
-
-    def test_payload_bytes_counts_sidecars(self, cache):
-        for seed in range(3):
-            cache.put(cache.key("exp", {"p": 1}, seed), sample_value())
-        assert len(cache.cols_entries()) == 3
-        assert cache.payload_bytes() > 0
+        assert parsed["entries"] == "1"
+        assert parsed["size"].endswith(" KiB")
+        assert (parsed["hits"], parsed["misses"], parsed["stores"]) == ("1", "1", "1")
+        assert parsed["deserialize"].endswith(" ms")
+        assert set(parsed) == {
+            "cache directory", "entries", "size", "hits", "deserialize",
+            "misses", "stores",
+        }

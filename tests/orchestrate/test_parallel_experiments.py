@@ -59,10 +59,7 @@ class TestCachedExperiments:
             "hits": 0,
             "misses": 4,
             "stores": 4,
-            "hits_mmap": 0,
-            "hits_pickle": 0,
-            "deser_ns_mmap": 0,
-            "deser_ns_pickle": 0,
+            "deser_ns": 0,
         }
 
         second = fig7_samples_vs_period(
@@ -122,5 +119,5 @@ class TestCachedExperiments:
         totals = ResultCache(tmp_path).persistent_stats()
         # 3 scenarios (stream, stream x2, stream+pagerank): all hit twice
         assert (totals["hits"], totals["misses"], totals["stores"]) == (3, 3, 3)
-        # every hit came off one of the two deserialization paths
-        assert totals["hits_mmap"] + totals["hits_pickle"] == totals["hits"]
+        # every hit paid for its deserialization
+        assert totals["deser_ns"] > 0

@@ -169,9 +169,8 @@ class TestPerformanceDoc:
         assert scan["speedup_vs_reference"] >= 5.0
         assert feed["min_speedup"] == 10.0
         assert feed["speedup_vs_reference"] >= 10.0
-        hit = entries["cache_hit_mmap"]
-        assert hit["min_speedup"] == 10.0
-        assert hit["speedup_vs_reference"] >= 10.0
+        assert "cache_hit_row" in entries  # 2x gate only, no floor
+        assert "min_speedup" not in entries["cache_hit_row"]
         assert "feed_stream_decode" in entries
         assert "serve_cache_replay" in entries
 
@@ -436,7 +435,7 @@ class TestClusterDoc:
         assert "python -m repro cluster agent" in text
         assert "python -m repro cluster coordinator" in text
         assert "colo_smoke.json" in text
-        assert "cache_hits_mmap" in text
+        assert "cache_hits" in text
 
 
 class TestResilienceDoc:
