@@ -17,16 +17,17 @@ Shape claims checked:
 
 from conftest import orchestration_opts, save_report
 
-from repro.evalharness.experiments import colo_interference
 from repro.evalharness.report import render_colo
+from repro.scenarios import Session, colo_interference_spec
+
+
+def run():
+    spec = colo_interference_spec(max_corunners=4, scale=0.02)
+    return Session(**orchestration_opts()).run(spec).results
 
 
 def test_colo_interference(benchmark, report_dir):
-    rows = benchmark.pedantic(
-        colo_interference,
-        kwargs={"max_corunners": 4, "scale": 0.02, **orchestration_opts()},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     save_report(report_dir, "colo_interference", render_colo(rows))
 
     by_scenario = {r["scenario"]: r for r in rows}

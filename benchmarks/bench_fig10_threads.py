@@ -10,19 +10,19 @@ Paper claims checked:
 
 from conftest import orchestration_opts, save_report
 
-from repro.evalharness.experiments import fig10_fig11_threads
 from repro.evalharness.report import render_fig10_fig11
+from repro.scenarios import Session, fig10_spec
 
 THREADS = (1, 2, 4, 8, 16, 32, 48, 64, 96, 128)
 
 
+def run():
+    spec = fig10_spec(thread_counts=THREADS, scale=2.0)
+    return Session(**orchestration_opts()).run(spec).results
+
+
 def test_fig10_fig11(benchmark, report_dir):
-    rows = benchmark.pedantic(
-        fig10_fig11_threads,
-        kwargs={"thread_counts": THREADS, "scale": 2.0,
-                **orchestration_opts()},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     save_report(report_dir, "fig10_fig11_threads", render_fig10_fig11(rows))
 
     by_t = {r["threads"]: r for r in rows}

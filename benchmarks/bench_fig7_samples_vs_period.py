@@ -11,8 +11,8 @@ import pytest
 from conftest import orchestration_opts, save_report
 
 from repro.analysis.accuracy import linearity_check
-from repro.evalharness.experiments import fig7_samples_vs_period
 from repro.evalharness.report import render_fig7
+from repro.scenarios import Session, fig7_spec
 
 PERIODS = (512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072)
 TRIALS = 5
@@ -21,14 +21,12 @@ SCALES = {"stream": 1 / 64, "cfd": 1 / 512, "bfs": 0.25}
 
 def run():
     out = {}
-    opts = orchestration_opts()
+    session = Session(**orchestration_opts())
     for name, scale in SCALES.items():
-        out.update(
-            fig7_samples_vs_period(
-                periods=PERIODS, trials=TRIALS, workloads=(name,),
-                scale=scale, **opts,
-            )
+        spec = fig7_spec(
+            periods=PERIODS, trials=TRIALS, workloads=(name,), scale=scale
         )
+        out.update(session.run(spec).results)
     return out
 
 

@@ -11,8 +11,8 @@ Paper claims checked:
 import numpy as np
 from conftest import orchestration_opts, save_report
 
-from repro.evalharness.experiments import fig8_accuracy_overhead_collisions
 from repro.evalharness.report import render_fig8
+from repro.scenarios import Session, fig8_spec
 
 PERIODS = (1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000)
 TRIALS = 5
@@ -21,14 +21,12 @@ SCALES = {"stream": 1 / 64, "cfd": 1 / 512, "bfs": 0.25}
 
 def run():
     out = {}
-    opts = orchestration_opts()
+    session = Session(**orchestration_opts())
     for name, scale in SCALES.items():
-        out.update(
-            fig8_accuracy_overhead_collisions(
-                periods=PERIODS, trials=TRIALS, workloads=(name,),
-                scale=scale, **opts,
-            )
+        spec = fig8_spec(
+            periods=PERIODS, trials=TRIALS, workloads=(name,), scale=scale
         )
+        out.update(session.run(spec).results)
     return out
 
 

@@ -11,16 +11,17 @@ Paper claims checked:
 import pytest
 from conftest import orchestration_opts, save_report
 
-from repro.evalharness.experiments import FIG9_AUX_PAGES, fig9_aux_buffer
 from repro.evalharness.report import render_fig9
+from repro.scenarios import FIG9_AUX_PAGES, Session, fig9_spec
+
+
+def run():
+    spec = fig9_spec(aux_pages=FIG9_AUX_PAGES)
+    return Session(**orchestration_opts()).run(spec).results
 
 
 def test_fig9(benchmark, report_dir):
-    rows = benchmark.pedantic(
-        fig9_aux_buffer,
-        kwargs={"aux_pages": FIG9_AUX_PAGES, **orchestration_opts()},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     save_report(report_dir, "fig9_auxbuf", render_fig9(rows))
 
     by_pages = {r["aux_pages"]: r for r in rows}

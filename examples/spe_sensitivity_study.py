@@ -10,7 +10,7 @@ Run:  python examples/spe_sensitivity_study.py
 """
 
 from repro.analysis.plotting import line_plot, table
-from repro.evalharness import fig8_accuracy_overhead_collisions
+from repro.scenarios import Session, fig8_spec
 
 PERIODS = (1000, 2000, 4000, 8000, 32000)
 SCALES = {"stream": 1 / 64, "cfd": 1 / 512, "bfs": 0.25}
@@ -20,11 +20,10 @@ def main() -> None:
     results = {}
     for name, scale in SCALES.items():
         print(f"sweeping {name} (scale {scale:g}) ...")
-        results.update(
-            fig8_accuracy_overhead_collisions(
-                periods=PERIODS, trials=2, workloads=(name,), scale=scale
-            )
+        spec = fig8_spec(
+            periods=PERIODS, trials=2, workloads=(name,), scale=scale
         )
+        results.update(Session().run(spec).results)
 
     rows = []
     for name, pts in results.items():

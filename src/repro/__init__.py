@@ -24,12 +24,15 @@ it needs, as a simulation stack (see DESIGN.md):
     Post-processing: accuracy (Eq. 1), temporal tools, bias, plotting.
 ``repro.scenarios``
     Declarative scenarios: ``ScenarioSpec`` (JSON round-trip) plus the
-    ``Session`` front door for profile, sweep, and co-location runs.
+    ``Session`` front door for profile, sweep, and co-location runs;
+    the sweep exhibits (figs. 7-11, colo) are its presets.
 ``repro.evalharness``
-    One entry point per paper table/figure (shims over ``scenarios``).
+    Entry points for Tables I-II and Figs. 2-6, and the exhibit
+    renderers.
 ``repro.orchestrate``
-    Parallel trial execution and the on-disk result cache behind the
-    ``--workers``/``--cache`` CLI flags.
+    The one trial-dispatch core, parallel trial execution and the
+    on-disk result cache behind the ``--workers``/``--cache`` CLI
+    flags.
 ``repro.colocation``
     Multi-tenant co-location: interleaved processes competing for a
     contention-aware shared DRAM channel.

@@ -26,13 +26,8 @@ import argparse
 import sys
 
 from repro.evalharness import (
-    colo_interference,
     fig2_capacity,
     fig3_bandwidth,
-    fig7_samples_vs_period,
-    fig8_accuracy_overhead_collisions,
-    fig9_aux_buffer,
-    fig10_fig11_threads,
     render_bandwidth,
     render_capacity,
     render_colo,
@@ -46,7 +41,16 @@ from repro.evalharness import (
 from repro.analysis.plotting import table
 from repro.errors import ReproError
 from repro.orchestrate import ResultCache, make_cache
-from repro.scenarios import SCENARIO_PRESETS, Session, load_scenario
+from repro.scenarios import (
+    SCENARIO_PRESETS,
+    Session,
+    colo_interference_spec,
+    fig7_spec,
+    fig8_spec,
+    fig9_spec,
+    fig10_spec,
+    load_scenario,
+)
 
 
 def _table1(_args) -> str:
@@ -73,59 +77,43 @@ def _fig3(args) -> str:
     return render_bandwidth(fig3_bandwidth(scale=args.scale))
 
 
-def _fig7(args) -> str:
-    return render_fig7(
-        fig7_samples_vs_period(
-            trials=args.trials, scale=args.workload_scale,
-            workers=args.workers, cache=make_cache(args.cache, args.cache_dir),
-        )
+def _session(args) -> Session:
+    """The one execution path of sweep exhibits and ``run``."""
+    return Session(
+        workers=args.workers, cache=make_cache(args.cache, args.cache_dir)
     )
+
+
+def _fig7(args) -> str:
+    spec = fig7_spec(trials=args.trials, scale=args.workload_scale)
+    return render_fig7(_session(args).run(spec).results)
 
 
 def _fig8(args) -> str:
-    return render_fig8(
-        fig8_accuracy_overhead_collisions(
-            trials=args.trials, scale=args.workload_scale,
-            workers=args.workers, cache=make_cache(args.cache, args.cache_dir),
-        )
-    )
+    spec = fig8_spec(trials=args.trials, scale=args.workload_scale)
+    return render_fig8(_session(args).run(spec).results)
 
 
 def _fig9(args) -> str:
-    return render_fig9(
-        fig9_aux_buffer(
-            workers=args.workers, cache=make_cache(args.cache, args.cache_dir)
-        )
-    )
+    return render_fig9(_session(args).run(fig9_spec()).results)
 
 
 def _fig10(args) -> str:
     scale = args.workload_scale if args.workload_scale is not None else 2.0
-    return render_fig10_fig11(
-        fig10_fig11_threads(
-            scale=scale, workers=args.workers,
-            cache=make_cache(args.cache, args.cache_dir),
-        )
-    )
+    spec = fig10_spec(scale=scale)
+    return render_fig10_fig11(_session(args).run(spec).results)
 
 
 def _colo(args) -> str:
-    kwargs = dict(
-        max_corunners=args.corunners,
-        workers=args.workers,
-        cache=make_cache(args.cache, args.cache_dir),
-    )
+    kwargs = {"max_corunners": args.corunners}
     if args.workload_scale is not None:
         kwargs["scale"] = args.workload_scale
-    return render_colo(colo_interference(**kwargs))
+    spec = colo_interference_spec(**kwargs)
+    return render_colo(_session(args).run(spec).results)
 
 
 def _run(args) -> str:
-    spec = load_scenario(args.action)
-    session = Session(
-        workers=args.workers, cache=make_cache(args.cache, args.cache_dir)
-    )
-    report = session.run(spec)
+    report = _session(args).run(load_scenario(args.action))
     if args.report_json:
         report.dump(args.report_json)
     return report.render()

@@ -47,7 +47,6 @@ class ShardAgent(ProfilingServer):
         cache: ResultCache | None = None,
         machine: MachineSpec | None = None,
         queue_limit: int = 16,
-        max_retries: int = 1,
     ) -> None:
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         if cache is None:
@@ -60,7 +59,6 @@ class ShardAgent(ProfilingServer):
             cache=cache,
             machine=machine,
             queue_limit=queue_limit,
-            max_retries=max_retries,
         )
 
     def _stop_components(self) -> None:

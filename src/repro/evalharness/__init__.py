@@ -1,24 +1,11 @@
-"""Evaluation harness: one entry point per paper table/figure."""
+"""Evaluation harness: Tables I-II, Figs. 2-6 and the exhibit renderers."""
 
 from repro.evalharness.experiments import (
-    COLO_MIX,
-    FIG7_PERIODS,
-    FIG8_PERIODS,
-    FIG9_AUX_PAGES,
-    FIG10_THREADS,
-    SWEEP_SCALES,
-    SweepPoint,
-    colo_interference,
-    colo_scenarios,
     fig2_capacity,
     fig3_bandwidth,
     fig4_stream_regions,
     fig5_cfd_single_thread,
     fig6_cfd_32_threads,
-    fig7_samples_vs_period,
-    fig8_accuracy_overhead_collisions,
-    fig9_aux_buffer,
-    fig10_fig11_threads,
     table1_env_defaults,
     table2_machine_spec,
 )
@@ -35,26 +22,13 @@ from repro.evalharness.report import (
 from repro.evalharness.sweep import SweepResult, crossover, sweep
 
 __all__ = [
-    "COLO_MIX",
-    "FIG10_THREADS",
-    "FIG7_PERIODS",
-    "FIG8_PERIODS",
-    "FIG9_AUX_PAGES",
-    "SWEEP_SCALES",
-    "SweepPoint",
     "SweepResult",
-    "colo_interference",
-    "colo_scenarios",
     "crossover",
-    "fig10_fig11_threads",
     "fig2_capacity",
     "fig3_bandwidth",
     "fig4_stream_regions",
     "fig5_cfd_single_thread",
     "fig6_cfd_32_threads",
-    "fig7_samples_vs_period",
-    "fig8_accuracy_overhead_collisions",
-    "fig9_aux_buffer",
     "render_bandwidth",
     "render_capacity",
     "render_colo",

@@ -4,12 +4,11 @@ Every function regenerates the data behind one exhibit of the paper's
 evaluation (§V-§VII) on the simulated Ampere Altra Max and returns plain
 dict/array results that the benches print and EXPERIMENTS.md records.
 
-The sweep-style exhibits (figs. 7-11, colo) are thin shims over the
-declarative scenario layer: each builds its
-:class:`~repro.scenarios.ScenarioSpec` preset and runs it through
-:class:`~repro.scenarios.Session`, which owns trial planning, the
-parallel runner, and the canonical cache-key path.  The golden-parity
-suite pins that these shims stay byte-identical to their specs.
+The sweep-style exhibits (figs. 7-11, colo) have no entry point here:
+they are the :mod:`repro.scenarios` presets, run as
+``Session(workers=…, cache=…).run(fig7_spec(…)).results`` (see
+``docs/scenarios.md``), which is also what ``python -m repro fig7``
+does.
 
 Scales: the generators run the workloads' access *structure* at reduced
 op counts (locality is evaluated at reference scale, see
@@ -28,26 +27,6 @@ from repro.nmo.capacity import summarise_capacity
 from repro.nmo.env import NmoMode, NmoSettings
 from repro.nmo.profiler import NmoProfiler
 from repro.nmo.regions import RegionProfile
-from repro.orchestrate import ResultCache
-from repro.scenarios import (  # noqa: F401 — compatibility re-exports
-    COLO_MIX,
-    COLO_TIMELINE_SECONDS,
-    colo_scenarios,
-)
-from repro.scenarios import (
-    FIG7_PERIODS,
-    FIG8_PERIODS,
-    FIG9_AUX_PAGES,
-    FIG10_THREADS,
-    SWEEP_SCALES,
-    Session,
-    SweepPoint,
-    colo_interference_spec,
-    fig7_spec,
-    fig8_spec,
-    fig9_spec,
-    fig10_spec,
-)
 from repro.workloads.cfd import CfdWorkload
 from repro.workloads.inmem_analytics import InMemoryAnalyticsWorkload
 from repro.workloads.pagerank import PageRankWorkload
@@ -181,108 +160,6 @@ def fig6_cfd_32_threads(
     stats = out["stats"]
     out["split_scores"] = {name: s.split_score for name, s in stats.items()}
     return out
-
-
-# --------------------------------------------------------------------------
-# Figures 7-11 + colo: scenario shims (Session owns the machinery)
-# --------------------------------------------------------------------------
-
-def fig7_samples_vs_period(
-    machine: MachineSpec | None = None,
-    periods: tuple[int, ...] = FIG7_PERIODS,
-    trials: int = 5,
-    workloads: tuple[str, ...] = ("stream", "cfd", "bfs"),
-    scale: float | None = None,
-    workers: int = 1,
-    cache: ResultCache | None = None,
-) -> dict[str, list[SweepPoint]]:
-    """Fig. 7: samples vs sampling period, five trials."""
-    spec = fig7_spec(
-        periods=periods, trials=trials, workloads=workloads, scale=scale
-    )
-    return Session(machine=machine, workers=workers, cache=cache).run(spec).results
-
-
-def fig8_accuracy_overhead_collisions(
-    machine: MachineSpec | None = None,
-    periods: tuple[int, ...] = FIG8_PERIODS,
-    trials: int = 5,
-    workloads: tuple[str, ...] = ("stream", "cfd", "bfs"),
-    scale: float | None = None,
-    workers: int = 1,
-    cache: ResultCache | None = None,
-) -> dict[str, list[SweepPoint]]:
-    """Fig. 8: accuracy / overhead / collisions vs sampling period."""
-    spec = fig8_spec(
-        periods=periods, trials=trials, workloads=workloads, scale=scale
-    )
-    return Session(machine=machine, workers=workers, cache=cache).run(spec).results
-
-
-def fig9_aux_buffer(
-    machine: MachineSpec | None = None,
-    aux_pages: tuple[int, ...] = FIG9_AUX_PAGES,
-    period: int = 1024,
-    scale: float = 0.75,
-    n_threads: int = 4,
-    seed: int = 0,
-    workers: int = 1,
-    cache: ResultCache | None = None,
-) -> list[dict]:
-    """Fig. 9: overhead and accuracy vs aux buffer size (in 64 KiB pages).
-
-    Defaults trade the paper's exact configuration (32 threads, 1 GiB
-    arrays) for one where per-thread sample volume spans several
-    watermarks across the page sweep at simulation scale — the loss
-    mechanism is per-thread, so the shape is thread-count independent
-    (see EXPERIMENTS.md).
-    """
-    spec = fig9_spec(
-        aux_pages=aux_pages, period=period, scale=scale,
-        n_threads=n_threads, seed=seed,
-    )
-    return Session(machine=machine, workers=workers, cache=cache).run(spec).results
-
-
-def fig10_fig11_threads(
-    machine: MachineSpec | None = None,
-    thread_counts: tuple[int, ...] = FIG10_THREADS,
-    period: int = 4096,
-    scale: float = 4.0,
-    seed: int = 0,
-    workers: int = 1,
-    cache: ResultCache | None = None,
-) -> list[dict]:
-    """Figs. 10-11: overhead, accuracy, collisions, throttling vs threads."""
-    spec = fig10_spec(
-        thread_counts=thread_counts, period=period, scale=scale, seed=seed
-    )
-    return Session(machine=machine, workers=workers, cache=cache).run(spec).results
-
-
-def colo_interference(
-    machine: MachineSpec | None = None,
-    max_corunners: int = 4,
-    scale: float = 0.02,
-    period: int = 16384,
-    n_threads: int = 8,
-    seed: int = 0,
-    workers: int = 1,
-    cache: ResultCache | None = None,
-) -> list[dict]:
-    """Colo: 1-4 co-located processes on the contended DRAM channel.
-
-    A beyond-paper extension of the Fig. 10/11 scaling study: instead of
-    one workload widening its thread team, whole processes are
-    co-located (each with its own SPE sessions and aux buffers) and the
-    shared channel apportions bandwidth between them.  Reports each
-    runner's slowdown, bandwidth grant, and profiling quality.
-    """
-    spec = colo_interference_spec(
-        max_corunners=max_corunners, scale=scale, period=period,
-        n_threads=n_threads, seed=seed,
-    )
-    return Session(machine=machine, workers=workers, cache=cache).run(spec).results
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,11 @@ independent trials actually runs:
     Fans :class:`TrialSpec` lists out over a process pool with
     deterministic per-trial seeding and spec-order result collection,
     so ``workers=N`` is byte-identical to the serial run.
+:class:`Dispatcher`
+    The one trial-dispatch core under the runner and the serve
+    scheduler: cache probe, in-flight dedup by cache key, the retry
+    budget for trials lost to worker crashes, and landing rows into a
+    :class:`Job` until it settles.
 :class:`ResultCache`
     A content-addressed on-disk store keyed by (experiment, config,
     seed, package version); repeated invocations become cache hits,
@@ -33,6 +38,7 @@ from repro.orchestrate.cache import (
     default_cache_dir,
     make_cache,
 )
+from repro.orchestrate.dispatch import Dispatcher
 from repro.orchestrate.pool import WorkerPool
 from repro.orchestrate.runner import (
     ParallelRunner,
@@ -45,6 +51,7 @@ from repro.orchestrate.runner import (
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "CacheStats",
+    "Dispatcher",
     "ParallelRunner",
     "ResultCache",
     "RunReport",

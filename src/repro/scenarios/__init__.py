@@ -29,9 +29,9 @@ Quickstart::
     print(report.render())
     report.dump("fig8-report.json")
 
-The legacy ``repro.evalharness`` figure functions are thin shims over
-this package; new sweep/sharding/backend work should target
-:class:`Session` directly.
+The paper's sweep exhibits are presets here, run by
+``Session(...).run(fig7_spec(...))``; new sweep/sharding/backend work
+should target :class:`Session` directly.
 """
 
 from repro.scenarios.presets import (

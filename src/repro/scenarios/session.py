@@ -9,14 +9,16 @@ it
    place trial configs (and therefore cache keys) are built,
 2. **runs** every trial through
    :class:`~repro.orchestrate.ParallelRunner` (workers, result cache,
-   deterministic spec-order collection all come for free),
+   deterministic spec-order collection all come for free) — the same
+   :class:`~repro.orchestrate.Dispatcher` core the serve scheduler
+   drives,
 3. **aggregates** the rows into the kind's result shape and wraps them
    in a :class:`RunReport` carrying provenance (spec hash, seed,
    resolved scales, package version) and execution stats.
 
-The legacy ``evalharness`` figure entry points are thin shims over
-this class; the golden-parity suite pins that both paths produce
-byte-identical cached payloads and identical rendered tables.
+The CLI's sweep figure commands (``python -m repro fig7`` …) are
+``Session.run`` of a preset; the golden-parity suite pins that they
+and ``repro run`` produce byte-identical cached payloads.
 """
 
 from __future__ import annotations

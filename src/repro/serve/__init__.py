@@ -16,12 +16,13 @@ The moving parts:
     ``cancelled``), priorities, and bounded admission — a full queue
     rejects immediately with a structured ``queue_full`` error.
 :class:`Scheduler`
-    Shards every admitted job's trial grid across the persistent pool
-    with per-job fairness (round-robin within a priority class, so one
-    huge sweep cannot starve small jobs), resolves cache hits without
-    touching workers, dedups identical in-flight trials across jobs,
-    and degrades jobs to ``partial`` (after retries) when workers die
-    mid-trial.
+    Feeds every admitted job's trial grid to the persistent pool with
+    per-job fairness (round-robin within a priority class, so one huge
+    sweep cannot starve small jobs), through the
+    :class:`~repro.orchestrate.Dispatcher` core ``Session.run`` also
+    runs on: cache hits land without touching workers, identical
+    in-flight trials run once across jobs, and a trial lost to two
+    worker crashes degrades its job to ``partial``.
 :class:`ProfilingServer`
     The TCP front door: ``submit`` / ``status`` / ``results`` /
     ``stream`` / ``cancel`` / ``shutdown`` / ``ping`` over

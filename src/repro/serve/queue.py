@@ -1,18 +1,9 @@
-"""Job queue for the profiling service: states, priorities, admission.
+"""Job queue for the profiling service: priorities and admission.
 
-A :class:`Job` is one submitted scenario — its planned trial grid,
-per-trial cache keys, landed rows, and a state machine::
-
-    queued ──► running ──► done        (every trial landed)
-                   │   └──► partial    (some trials lost for good)
-                   ├──────► failed     (a trial raised)
-    queued/running ───────► cancelled  (client asked)
-
-``partial``/``done``/``failed``/``cancelled`` are terminal.  Rows land
-append-only in ``events`` (the stream clients replay) and positionally
-in ``rows`` (what the final report aggregates); each job carries its
-own condition variable so streaming readers wake exactly when a row
-lands or the state flips.
+A :class:`Job` is one submitted scenario: its planned trial grid,
+per-trial cache keys, landed rows, and the state machine documented in
+:mod:`repro.orchestrate.dispatch`, where the class lives beside the
+dispatch core that drives it.  It is re-exported here.
 
 :class:`JobQueue` provides **bounded admission**: at most ``limit``
 jobs may be active (queued or running) at once, and a submit beyond
@@ -28,136 +19,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any
 
 from repro.errors import QueueFullError, ServeError
 from repro.orchestrate import TrialSpec
+from repro.orchestrate.dispatch import JOB_STATES, TERMINAL_STATES, Job
 from repro.scenarios.spec import ScenarioSpec
 
-#: every state a job can be in
-JOB_STATES = ("queued", "running", "done", "partial", "failed", "cancelled")
-
-#: states in which no further work happens
-TERMINAL_STATES = frozenset({"done", "partial", "failed", "cancelled"})
-
-
-class Job:
-    """One submitted scenario and everything it has produced so far.
-
-    All mutable fields are guarded by :attr:`cond`'s lock; readers
-    should use :meth:`snapshot` / :meth:`events_since` instead of
-    touching fields directly.
-    """
-
-    def __init__(
-        self,
-        job_id: str,
-        seq: int,
-        spec: ScenarioSpec,
-        priority: int,
-        trial_specs: list[TrialSpec],
-        keys: list[str],
-        subset: bool = False,
-    ) -> None:
-        self.id = job_id
-        self.seq = seq
-        self.spec = spec
-        self.priority = priority
-        self.trial_specs = trial_specs
-        self.keys = keys
-        #: True when the grid is a sub-slice of the spec's full plan (a
-        #: cluster shard's share); subset jobs produce rows but never a
-        #: report — only the full grid aggregates meaningfully
-        self.subset = subset
-        self.state = "queued"
-        self.cond = threading.Condition()
-        #: positional trial results (None = not landed / lost)
-        self.rows: list[Any] = [None] * len(trial_specs)
-        #: append-only landed-row event dicts, in landing order
-        self.events: list[dict] = []
-        #: trial indices not yet dispatched (the scheduler's work list)
-        self.pending: list[int] = list(range(len(trial_specs)))
-        #: per-trial retry counts after worker loss
-        self.retries: dict[int, int] = {}
-        #: indices lost for good (reported in the partial outcome)
-        self.lost: dict[int, str] = {}
-        self.cached = 0
-        self.completed = 0
-        self.error: str | None = None
-        self.report: Any = None  # RunReport once terminal and aggregable
-
-    # -- state -------------------------------------------------------------
-
-    @property
-    def total(self) -> int:
-        """Trial-grid size."""
-        return len(self.trial_specs)
-
-    def is_terminal(self) -> bool:
-        """Whether the job reached a terminal state (lock-free read)."""
-        return self.state in TERMINAL_STATES
-
-    def set_state(self, state: str) -> None:
-        """Transition (no-op when already terminal) and wake waiters."""
-        assert state in JOB_STATES, state
-        with self.cond:
-            if self.state in TERMINAL_STATES:
-                return
-            self.state = state
-            self.cond.notify_all()
-
-    def land_row(self, index: int, row: Any, cached: bool) -> None:
-        """Record one finished trial and wake streaming readers.
-
-        Idempotent per index: a re-landed row (a cluster shard retried
-        after its first agent died mid-pull) updates nothing and emits
-        no second event, so streams carry exactly one row per trial.
-        """
-        with self.cond:
-            if self.rows[index] is None:
-                self.completed += 1
-                self.cached += 1 if cached else 0
-                self.rows[index] = row
-                self.events.append(
-                    {"index": index, "cached": cached, "row": row}
-                )
-            self.cond.notify_all()
-
-    # -- reads -------------------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """A consistent status view (what the ``status`` op returns)."""
-        with self.cond:
-            return {
-                "job_id": self.id,
-                "state": self.state,
-                "priority": self.priority,
-                "spec_name": self.spec.name,
-                "spec_hash": self.spec.spec_hash(),
-                "kind": self.spec.kind,
-                "total": self.total,
-                "completed": self.completed,
-                "cached": self.cached,
-                "lost": sorted(self.lost),
-                "error": self.error,
-                "subset": self.subset,
-            }
-
-    def events_since(self, start: int, timeout: float) -> tuple[list, str]:
-        """Events landed at/after ``start`` plus the state, blocking up
-        to ``timeout`` seconds when there is nothing new yet."""
-        with self.cond:
-            if len(self.events) <= start and self.state not in TERMINAL_STATES:
-                self.cond.wait(timeout=timeout)
-            return list(self.events[start:]), self.state
-
-    def wait_terminal(self, timeout: float | None = None) -> str:
-        """Block until the job is terminal (or timeout); returns state."""
-        with self.cond:
-            self.cond.wait_for(
-                lambda: self.state in TERMINAL_STATES, timeout=timeout
-            )
-            return self.state
+__all__ = ["JOB_STATES", "TERMINAL_STATES", "Job", "JobQueue"]
 
 
 class JobQueue:
@@ -225,8 +93,8 @@ class JobQueue:
             if job_id is None:
                 job_id = f"job-{seq}-{spec.spec_hash()[:8]}"
             job = Job(
-                job_id, seq, spec, int(priority), trial_specs, keys,
-                subset=subset,
+                trial_specs, keys, job_id=job_id, seq=seq, spec=spec,
+                priority=int(priority), subset=subset,
             )
             self._jobs[job_id] = job
             self.changed.notify_all()

@@ -335,17 +335,12 @@ class ProfilingServer(ServerBase):
         cache: ResultCache | None = None,
         machine: MachineSpec | None = None,
         queue_limit: int = 16,
-        max_retries: int = 1,
     ) -> None:
         super().__init__(host, port)
         self.queue = JobQueue(limit=queue_limit)
         self.pool = WorkerPool(workers=workers)
         self.scheduler = Scheduler(
-            self.queue,
-            self.pool,
-            cache=cache,
-            machine=machine,
-            max_retries=max_retries,
+            self.queue, self.pool, cache=cache, machine=machine
         )
         self.cache = cache
 

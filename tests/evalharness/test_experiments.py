@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from repro.evalharness.experiments import (
-    colo_interference,
-    colo_scenarios,
     fig4_stream_regions,
     fig5_cfd_single_thread,
     fig6_cfd_32_threads,
-    fig7_samples_vs_period,
-    fig10_fig11_threads,
     table1_env_defaults,
     table2_machine_spec,
 )
@@ -21,6 +17,17 @@ from repro.evalharness.report import (
     render_fig10_fig11,
     render_sweep_table,
 )
+from repro.scenarios import (
+    Session,
+    colo_interference_spec,
+    colo_scenarios,
+    fig7_spec,
+    fig10_spec,
+)
+
+
+def run(spec):
+    return Session().run(spec).results
 
 
 class TestTables:
@@ -77,21 +84,21 @@ class TestSweepExperiments:
         from repro.errors import WorkloadError
 
         with pytest.raises(WorkloadError, match="known:"):
-            fig7_samples_vs_period(
+            run(fig7_spec(
                 periods=(2048,), trials=1, workloads=("nope",), scale=0.1
-            )
+            ))
 
     def test_fig7_small(self):
-        res = fig7_samples_vs_period(
+        res = run(fig7_spec(
             periods=(2048, 8192), trials=2, workloads=("bfs",), scale=0.2
-        )
+        ))
         pts = res["bfs"]
         assert len(pts) == 2
         assert pts[0].samples_mean > pts[1].samples_mean
         assert len(pts[0].samples_trials) == 2
 
     def test_fig10_small(self):
-        rows = fig10_fig11_threads(thread_counts=(2, 8), scale=0.25)
+        rows = run(fig10_spec(thread_counts=(2, 8), scale=0.25))
         assert [r["threads"] for r in rows] == [2, 8]
         assert all(r["samples"] > 0 for r in rows)
 
@@ -114,9 +121,9 @@ class TestColoInterference:
                 "stream") in scen
 
     def test_exhibit_shapes(self):
-        rows = colo_interference(
+        rows = run(colo_interference_spec(
             max_corunners=2, scale=0.002, period=65536, n_threads=4
-        )
+        ))
         assert [r["scenario"] for r in rows] == [
             "stream", "stream+stream", "stream+pagerank",
         ]
@@ -168,16 +175,16 @@ class TestColoInterference:
 
 class TestRendering:
     def test_render_sweep_table(self):
-        res = fig7_samples_vs_period(
+        res = run(fig7_spec(
             periods=(4096,), trials=1, workloads=("bfs",), scale=0.1
-        )
+        ))
         txt = render_sweep_table(res["bfs"], "t")
         assert "bfs" in txt and "4096" in txt
 
     def test_render_fig7(self):
-        res = fig7_samples_vs_period(
+        res = run(fig7_spec(
             periods=(2048, 8192), trials=1, workloads=("bfs",), scale=0.1
-        )
+        ))
         txt = render_fig7(res)
         assert "log10(samples)" in txt
 

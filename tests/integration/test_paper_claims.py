@@ -11,6 +11,7 @@ import pytest
 from repro.machine.spec import GiB, ampere_altra_max
 from repro.nmo.env import NmoMode, NmoSettings
 from repro.nmo.profiler import NmoProfiler
+from repro.scenarios import Session, fig9_spec
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.cfd import CfdWorkload
 from repro.workloads.stream import StreamWorkload
@@ -129,25 +130,23 @@ class TestFig8Claims:
             assert ovh[0] > ovh[1] > ovh[2]
 
 
+def fig9_rows(aux_pages):
+    return Session().run(fig9_spec(aux_pages=aux_pages, scale=0.2)).results
+
+
 class TestFig9Claims:
     def test_spe_needs_four_pages(self):
-        from repro.evalharness.experiments import fig9_aux_buffer
-
-        rows = fig9_aux_buffer(aux_pages=(2, 4), scale=0.2)
+        rows = fig9_rows((2, 4))
         assert rows[0]["samples"] == 0           # 2 pages: loses everything
         assert rows[1]["samples"] > 0            # 4 pages: minimum working
 
     def test_accuracy_rises_with_buffer(self):
-        from repro.evalharness.experiments import fig9_aux_buffer
-
-        rows = fig9_aux_buffer(aux_pages=(4, 16, 64), scale=0.2)
+        rows = fig9_rows((4, 16, 64))
         accs = [r["accuracy"] for r in rows]
         assert accs[0] < accs[1] < accs[2]
 
     def test_overhead_falls_with_buffer_beyond_minimum(self):
-        from repro.evalharness.experiments import fig9_aux_buffer
-
-        rows = fig9_aux_buffer(aux_pages=(4, 32, 512), scale=0.2)
+        rows = fig9_rows((4, 32, 512))
         ovh = [r["overhead"] for r in rows]
         assert ovh[0] > ovh[1] > ovh[2]
 

@@ -14,6 +14,7 @@ from repro.orchestrate import (
     ParallelRunner,
     ResultCache,
     TrialSpec,
+    WorkerPool,
     default_workers,
     derive_seed,
 )
@@ -57,6 +58,16 @@ def slow_error_trial(spec: TrialSpec) -> dict:
         raise SlowPickleError("trial 0 exploded")
     time.sleep(0.1)
     return {"ok": spec.config["value"]}
+
+
+def ledger_trial(spec: TrialSpec) -> dict:
+    """Append one line per execution (``O_APPEND`` keeps lines whole)."""
+    fd = os.open(spec.config["ledger"], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{spec.config['value']}\n".encode())
+    finally:
+        os.close(fd)
+    return {"value": spec.config["value"], "pid": os.getpid()}
 
 
 def big_trial(spec: TrialSpec) -> dict:
@@ -145,6 +156,31 @@ class TestParallel:
             key = cache.key(spec.experiment, spec.config, spec.seed)
             ran = {"ok": spec.config["value"]}
             assert cache.get(key, "miss") in ("miss", ran)
+
+    def test_at_most_workers_trials_outstanding(self, monkeypatch):
+        peaks = []
+
+        class PeakPool(WorkerPool):
+            def submit(self, fn, arg):
+                task_id = super().submit(fn, arg)
+                peaks.append(self.outstanding)
+                return task_id
+
+        monkeypatch.setattr(runner_mod, "WorkerPool", PeakPool)
+        out = ParallelRunner(workers=2).map(echo_trial, specs(8))
+        assert [r["value"] for r in out] == [0, 10, 20, 30, 40, 50, 60, 70]
+        assert len(peaks) == 8 and max(peaks) == 2
+
+    def test_identical_trials_run_once(self, tmp_path):
+        ledger = tmp_path / "ledger"
+        grid = [
+            TrialSpec("runner-test", {"value": v, "ledger": str(ledger)}, 0)
+            for v in (1, 1, 1, 2)
+        ]
+        out = ParallelRunner(workers=2).map(ledger_trial, grid)
+        assert sorted(ledger.read_text().split()) == ["1", "2"]
+        assert out[0] is out[1] is out[2]
+        assert out[3]["value"] == 2
 
     def test_single_pending_short_circuits_serial(self):
         out = ParallelRunner(workers=WORKERS).map(echo_trial, specs(1))

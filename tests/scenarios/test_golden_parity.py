@@ -1,7 +1,6 @@
-"""Golden parity: legacy entry points == their ScenarioSpec equivalents.
+"""Golden parity: every front door and executor caches the same bytes.
 
-Each legacy ``evalharness`` figure function and its declarative spec
-must produce
+Each comparison below runs one exhibit preset two ways and requires
 
 * equal in-memory results,
 * identical rendered tables,
@@ -9,19 +8,18 @@ must produce
   against two cache directories must leave the same set of entry
   files with the same bytes.
 
-That last property is what lets a fleet mix legacy callers and
-``repro run`` invocations against one shared cache.
+Figs. 7-10 compare the runner's two executors, in-process
+(``workers=1``) and a worker pool (``workers=2``).  Colo compares a
+figure command (``python -m repro colo_interference``) with
+``Session.run`` of its preset (what ``python -m repro run`` does), and
+a preset run over the figure command's cache must be a full hit: that
+is what lets a fleet mix figure commands and ``repro run`` invocations
+against one shared cache.  (Colo rows are not compared across
+executors: a pooled row pickles its workload-name strings unshared, so
+its bytes differ from the in-process row's while the values agree.)
 """
 
-import pytest
-
-from repro.evalharness.experiments import (
-    colo_interference,
-    fig7_samples_vs_period,
-    fig8_accuracy_overhead_collisions,
-    fig9_aux_buffer,
-    fig10_fig11_threads,
-)
+from repro.__main__ import main
 from repro.evalharness.report import (
     render_colo,
     render_fig7,
@@ -53,93 +51,73 @@ def assert_cache_parity(a: ResultCache, b: ResultCache) -> None:
         assert blobs_a[name] == blobs_b[name], f"payload differs: {name}"
 
 
+def assert_paths_agree(tmp_path, spec, render) -> None:
+    """Run ``spec`` in-process and on a pool; compare results, tables
+    and cache bytes."""
+    ca, cb = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
+    inline = Session(workers=1, cache=ca).run(spec).results
+    pooled = Session(workers=2, cache=cb).run(spec).results
+    assert inline == pooled
+    assert render(inline) == render(pooled)
+    assert_cache_parity(ca, cb)
+
+
 class TestFig7Parity:
     def test_results_render_and_cache(self, tmp_path):
-        kwargs = dict(periods=(2048, 8192), trials=2, workloads=("bfs",),
-                      scale=0.2)
-        ca, cb = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
-        legacy = fig7_samples_vs_period(cache=ca, **kwargs)
-        spec = Session(cache=cb).run(fig7_spec(**kwargs)).results
-        assert legacy == spec
-        assert render_fig7(legacy) == render_fig7(spec)
-        assert_cache_parity(ca, cb)
+        spec = fig7_spec(periods=(2048, 8192), trials=2, workloads=("bfs",),
+                         scale=0.2)
+        assert_paths_agree(tmp_path, spec, render_fig7)
 
 
 class TestFig8Parity:
     def test_results_render_and_cache(self, tmp_path):
-        kwargs = dict(periods=(2048, 8192), trials=2, workloads=("bfs",),
-                      scale=0.2)
-        ca, cb = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
-        legacy = fig8_accuracy_overhead_collisions(cache=ca, **kwargs)
-        spec = Session(cache=cb).run(fig8_spec(**kwargs)).results
-        assert legacy == spec
-        assert render_fig8(legacy) == render_fig8(spec)
-        assert_cache_parity(ca, cb)
+        spec = fig8_spec(periods=(2048, 8192), trials=2, workloads=("bfs",),
+                         scale=0.2)
+        assert_paths_agree(tmp_path, spec, render_fig8)
 
 
 class TestFig9Parity:
     def test_results_render_and_cache(self, tmp_path):
-        kwargs = dict(aux_pages=(4, 16), period=2048, scale=0.2, n_threads=2)
-        ca, cb = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
-        legacy = fig9_aux_buffer(cache=ca, **kwargs)
-        spec = Session(cache=cb).run(fig9_spec(**kwargs)).results
-        assert legacy == spec
-        assert render_fig9(legacy) == render_fig9(spec)
-        assert_cache_parity(ca, cb)
+        spec = fig9_spec(aux_pages=(4, 16), period=2048, scale=0.2,
+                         n_threads=2)
+        assert_paths_agree(tmp_path, spec, render_fig9)
 
 
 class TestFig10Parity:
     def test_results_render_and_cache(self, tmp_path):
-        kwargs = dict(thread_counts=(2, 8), scale=0.25)
-        ca, cb = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
-        legacy = fig10_fig11_threads(cache=ca, **kwargs)
-        spec = Session(cache=cb).run(fig10_spec(**kwargs)).results
-        assert legacy == spec
-        assert render_fig10_fig11(legacy) == render_fig10_fig11(spec)
-        assert_cache_parity(ca, cb)
+        spec = fig10_spec(thread_counts=(2, 8), scale=0.25)
+        assert_paths_agree(tmp_path, spec, render_fig10_fig11)
 
 
 class TestColoParity:
-    def test_results_render_and_cache(self, tmp_path):
-        kwargs = dict(max_corunners=2, scale=0.002, period=65536, n_threads=4)
-        ca, cb = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
-        legacy = colo_interference(cache=ca, **kwargs)
-        spec = Session(cache=cb).run(colo_interference_spec(**kwargs)).results
-        assert legacy == spec
-        assert render_colo(legacy) == render_colo(spec)
-        assert_cache_parity(ca, cb)
+    def test_results_render_and_cache(self, tmp_path, capsys):
+        cli_dir = tmp_path / "cli"
+        assert main(
+            ["colo_interference", "--corunners", "1",
+             "--workload-scale", "0.002", "--cache-dir", str(cli_dir)]
+        ) == 0
+        printed = capsys.readouterr().out
+        spec = colo_interference_spec(max_corunners=1, scale=0.002)
+        preset = ResultCache(tmp_path / "preset")
+        results = Session(cache=preset).run(spec).results
+        assert printed == render_colo(results) + "\n"
+        assert_cache_parity(ResultCache(cli_dir), preset)
 
 
 class TestSharedCacheAcrossPaths:
-    def test_spec_run_hits_entries_stored_by_legacy_path(self, tmp_path):
-        # one cache directory, legacy writes, the Session run must be a
-        # full cache hit (zero executions)
-        cache = ResultCache(tmp_path)
-        kwargs = dict(periods=(2048,), trials=2, workloads=("bfs",), scale=0.2)
-        fig8_accuracy_overhead_collisions(cache=cache, **kwargs)
-        session = Session(cache=ResultCache(tmp_path))
-        report = session.run(fig8_spec(**kwargs))
-        assert report.execution["cache_hits"] == report.execution["total_trials"]
-        assert report.execution["executed"] == 0
-
-
-@pytest.mark.parametrize(
-    "legacy, spec_factory",
-    [
-        (fig7_samples_vs_period, fig7_spec),
-        (fig8_accuracy_overhead_collisions, fig8_spec),
-        (fig9_aux_buffer, fig9_spec),
-        (fig10_fig11_threads, fig10_spec),
-        (colo_interference, colo_interference_spec),
-    ],
-    ids=["fig7", "fig8", "fig9", "fig10", "colo"],
-)
-def test_legacy_defaults_match_spec_defaults(legacy, spec_factory):
-    """Shim defaults and preset defaults must describe the same grid."""
-    import inspect
-
-    legacy_params = inspect.signature(legacy).parameters
-    spec_params = inspect.signature(spec_factory).parameters
-    for name, p in spec_params.items():
-        if name in legacy_params:
-            assert legacy_params[name].default == p.default, name
+    def test_spec_run_hits_entries_stored_by_legacy_path(
+        self, tmp_path, capsys
+    ):
+        # one cache directory: the figure command writes, the preset
+        # run must be a full cache hit (zero executions)
+        assert main(
+            ["colo_interference", "--corunners", "2",
+             "--workload-scale", "0.002", "--cache-dir", str(tmp_path)]
+        ) == 0
+        printed = capsys.readouterr().out
+        spec = colo_interference_spec(max_corunners=2, scale=0.002)
+        report = Session(cache=ResultCache(tmp_path)).run(spec)
+        execution = report.execution
+        assert execution["cache_hits"] == execution["total_trials"]
+        assert execution["executed"] == 0
+        assert printed == render_colo(report.results) + "\n"

@@ -39,6 +39,16 @@ def flaky_trial(machine, tspec):
     return {"metric": float(tspec.seed)}
 
 
+def stalling_trial(machine, tspec):
+    """Announce the worker pid in one file per attempt, then stall."""
+    kw = tspec.config["kwargs"]
+    scratch = Path(kw["scratch"])
+    attempt = len(list(scratch.glob(f"pid-{tspec.seed}-*")))
+    (scratch / f"pid-{tspec.seed}-{attempt}").write_text(str(os.getpid()))
+    time.sleep(kw.get("stall", 60))
+    return {"metric": float(tspec.seed)}
+
+
 def slow_trial(machine, tspec):
     kw = tspec.config["kwargs"]
     time.sleep(kw.get("stall", 1.0))
@@ -79,7 +89,7 @@ class TestWorkerDeath:
         monkeypatch.setitem(TRIAL_FNS, "profile", flaky_trial)
         spec = fault_spec("kill-retry", tmp_path, stall=60, seed=100)
         pidfile = tmp_path / "pid-100"
-        with ProfilingServer(port=0, workers=1, max_retries=1) as srv:
+        with ProfilingServer(port=0, workers=1) as srv:
             with ServerClient(*srv.address) as c:
                 ack = c.submit(spec)
                 assert wait_for(pidfile.exists), "trial never started"
@@ -96,14 +106,15 @@ class TestWorkerDeath:
     def test_exhausted_retries_degrade_to_partial_not_hang(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setitem(TRIAL_FNS, "profile", flaky_trial)
+        monkeypatch.setitem(TRIAL_FNS, "profile", stalling_trial)
         spec = fault_spec("kill-partial", tmp_path, stall=60, seed=200)
-        pidfile = tmp_path / "pid-200"
-        with ProfilingServer(port=0, workers=1, max_retries=0) as srv:
+        with ProfilingServer(port=0, workers=1) as srv:
             with ServerClient(*srv.address) as c:
                 ack = c.submit(spec)
-                assert wait_for(pidfile.exists), "trial never started"
-                os.kill(int(pidfile.read_text()), signal.SIGKILL)
+                for attempt in range(2):  # the first run and its retry
+                    pidfile = tmp_path / f"pid-200-{attempt}"
+                    assert wait_for(pidfile.exists), f"attempt {attempt}"
+                    os.kill(int(pidfile.read_text()), signal.SIGKILL)
                 assert wait_for(
                     lambda: c.status(ack["job_id"])["state"] == "partial"
                 ), "job did not degrade to partial"
@@ -124,7 +135,7 @@ class TestWorkerDeath:
         monkeypatch.setitem(TRIAL_FNS, "profile", flaky_trial)
         spec = fault_spec("respawn", tmp_path, stall=60, seed=300)
         pidfile = tmp_path / "pid-300"
-        with ProfilingServer(port=0, workers=2, max_retries=1) as srv:
+        with ProfilingServer(port=0, workers=2) as srv:
             with ServerClient(*srv.address) as c:
                 before = set(c.ping()["worker_pids"])
                 ack = c.submit(spec)

@@ -1,9 +1,10 @@
 """Scheduler policy: fairness, priorities, cache fast path, faults.
 
-These tests drive the scheduler's decision methods synchronously
-against a stub pool, so dispatch order and fault handling are pinned
-deterministically (no threads, no real workers).  The real-pool path
-is covered end-to-end in ``test_server_e2e.py`` / ``test_faults.py``.
+These tests drive the scheduler's decision methods — and its dispatch
+core's event handler — synchronously against a stub pool, so dispatch
+order and fault handling are pinned deterministically (no threads, no
+real workers).  The real-pool path is covered end-to-end in
+``test_server_e2e.py`` / ``test_faults.py``.
 """
 
 import itertools
@@ -45,26 +46,27 @@ def submit(queue, spec, priority=0):
     return queue.submit(spec, trial_specs, keys, priority=priority)
 
 
-def make_scheduler(workers=2, cache=None, max_retries=1, limit=16):
+def make_scheduler(workers=2, cache=None, limit=16):
     queue = JobQueue(limit=limit)
     pool = StubPool(workers=workers)
-    sched = Scheduler(queue, pool, cache=cache, max_retries=max_retries)
+    sched = Scheduler(queue, pool, cache=cache)
     return queue, pool, sched
 
 
 def drain(sched, pool, row=None, rounds=100):
     """Admit/dispatch/complete until the pool goes idle; returns the
     per-task completion order as job ids."""
+    core = sched.dispatcher
     order = []
     for _ in range(rounds):
         sched._admit()
         sched._dispatch()
-        if not sched._task_key:
+        if not core._tasks:
             return order
-        task_id = min(sched._task_key)  # oldest in-flight finishes first
-        owners = sched._owners[sched._task_key[task_id]]
+        task_id = min(core._tasks)  # oldest in-flight finishes first
+        owners = core._owners[core._tasks[task_id]]
         order.extend(job.id for job, _ in owners)
-        sched._handle_event("done", task_id, row or {"metric": 1.0})
+        core.handle("done", task_id, row or {"metric": 1.0})
     raise AssertionError("scheduler did not drain")
 
 
@@ -155,24 +157,31 @@ class TestDedup:
 
 class TestFaults:
     def test_lost_trial_is_retried_then_done(self):
-        queue, pool, sched = make_scheduler(workers=1, max_retries=1)
+        queue, pool, sched = make_scheduler(workers=1)
         job = submit(queue, profile_spec("retry", trials=1))
         sched._admit()
         sched._dispatch()
         (task_id, _fn, _arg) = pool.submitted[0]
-        sched._handle_event("lost", task_id, "worker 123 died")
+        sched.dispatcher.handle("lost", task_id, "worker 123 died")
         assert job.state == "running" and job.pending == [0]
         drain(sched, pool)
         assert job.state == "done" and job.retries == {0: 1}
 
     def test_exhausted_retries_degrade_to_partial(self):
-        queue, pool, sched = make_scheduler(workers=1, max_retries=0)
+        queue, pool, sched = make_scheduler(workers=1)
         job = submit(queue, profile_spec("lossy", trials=2))
-        sched._admit()
-        sched._dispatch()
-        (task_id, _fn, _arg) = pool.submitted[0]
-        sched._handle_event("lost", task_id, "worker 123 died")
-        drain(sched, pool)
+        doomed = job.trial_specs[0]
+        for _ in range(10):  # trial 0 dies on both of its attempts
+            sched._admit()
+            sched._dispatch()
+            if not sched.dispatcher.busy:
+                break
+            (task_id, _fn, arg) = pool.submitted[-1]
+            if arg == doomed:
+                sched.dispatcher.handle("lost", task_id, "worker 123 died")
+            else:
+                sched.dispatcher.handle("done", task_id, {"metric": 1.0})
+        assert [arg for _, _, arg in pool.submitted].count(doomed) == 2
         assert job.state == "partial"
         assert list(job.lost) == [0]
         assert "worker 123 died" in job.lost[0]
@@ -184,7 +193,7 @@ class TestFaults:
         sched._admit()
         sched._dispatch()
         (task_id, _fn, _arg) = pool.submitted[0]
-        sched._handle_event("error", task_id, ValueError("boom"))
+        sched.dispatcher.handle("error", task_id, ValueError("boom"))
         assert job.state == "failed"
         assert "ValueError: boom" in job.error
 
@@ -195,9 +204,45 @@ class TestFaults:
         sched._dispatch()
         queue.cancel(job.id)
         (task_id, _fn, _arg) = pool.submitted[0]
-        sched._handle_event("done", task_id, {"metric": 1.0})
+        sched.dispatcher.handle("done", task_id, {"metric": 1.0})
         assert job.state == "cancelled"
         assert job.completed == 0
+
+    def test_error_after_cancel_keeps_the_cancelled_outcome(self):
+        queue, pool, sched = make_scheduler(workers=1)
+        job = submit(queue, profile_spec("gone-bad", trials=1))
+        sched._admit()
+        sched._dispatch()
+        queue.cancel(job.id)
+        (task_id, _fn, _arg) = pool.submitted[0]
+        sched.dispatcher.handle("error", task_id, ValueError("boom"))
+        snap = job.snapshot()
+        assert (snap["state"], snap["error"]) == ("cancelled", None)
+
+
+class TestBoundedState:
+    """A long-running server keeps no per-job dispatch state for jobs
+    that have nothing in flight."""
+
+    def test_settled_jobs_leave_no_inflight_entry(self):
+        queue, pool, sched = make_scheduler(workers=2)
+        states = set()
+        for i in range(50):
+            job = submit(queue, profile_spec(f"j{i}", trials=2, seed=10 * i))
+            drain(sched, pool)
+            states.add(job.state)
+        assert states == {"done"}
+        assert sched.dispatcher._inflight == {}
+
+    def test_cancelled_job_entry_goes_with_its_last_trial(self):
+        queue, pool, sched = make_scheduler(workers=2)
+        job = submit(queue, profile_spec("gone", trials=2))
+        sched._admit()
+        sched._dispatch()
+        queue.cancel(job.id)
+        for task_id, _fn, _arg in pool.submitted:
+            sched.dispatcher.handle("done", task_id, {"metric": 1.0})
+        assert sched.dispatcher._inflight == {}
 
 
 class CancelOnEnter:

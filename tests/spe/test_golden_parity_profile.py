@@ -12,15 +12,19 @@ be exact hits for the other (PR 1-3 caches stay valid).
 import numpy as np
 import pytest
 
-from repro.evalharness.experiments import fig9_aux_buffer
 from repro.machine.spec import ampere_altra_max
 from repro.nmo.backends import FixedAuxPagesBackend
 from repro.nmo.env import NmoMode, NmoSettings
 from repro.nmo.profiler import NmoProfiler
 from repro.orchestrate.cache import ResultCache
+from repro.scenarios import Session, fig9_spec
 from repro.spe.driver import SpeCostModel
 from repro.spe.refpath import reference_path
 from repro.workloads.stream import StreamWorkload
+
+
+def fig9_rows(machine, cache, **kw):
+    return Session(machine=machine, cache=cache).run(fig9_spec(**kw)).results
 
 
 def profile(machine, *, aux_pages=None, aux_watermark=None, period=512,
@@ -85,19 +89,16 @@ class TestCacheParityAcrossPaths:
     def test_reference_entries_hit_vectorized(self, ampere, tmp_path):
         """fig9 trials stored by the reference path are exact cache hits
         for the vectorized path, with byte-equal payloads."""
-        kw = dict(
-            machine=ampere, aux_pages=(4, 8), period=512,
-            scale=0.02, n_threads=2,
-        )
+        kw = dict(aux_pages=(4, 8), period=512, scale=0.02, n_threads=2)
         cache = ResultCache(tmp_path)
         with reference_path():
-            ref_rows = fig9_aux_buffer(cache=cache, **kw)
+            ref_rows = fig9_rows(ampere, cache, **kw)
         after_ref = cache.persistent_stats()  # runner folds into stats.json
         assert after_ref["stores"] == len(ref_rows)
         assert len(cache.entries()) == len(ref_rows)
 
         cache2 = ResultCache(tmp_path)
-        vec_rows = fig9_aux_buffer(cache=cache2, **kw)
+        vec_rows = fig9_rows(ampere, cache2, **kw)
         after_vec = cache2.persistent_stats()
         assert after_vec["hits"] - after_ref["hits"] == len(vec_rows)
         assert after_vec["misses"] == after_ref["misses"]
@@ -107,13 +108,10 @@ class TestCacheParityAcrossPaths:
     def test_vectorized_recompute_equals_reference_payload(self, ampere, tmp_path):
         """Uncached recomputation on the two paths yields equal rows —
         the cache never has to care which implementation filled it."""
-        kw = dict(
-            machine=ampere, aux_pages=(4,), period=512,
-            scale=0.02, n_threads=2,
-        )
-        vec_rows = fig9_aux_buffer(cache=None, **kw)
+        kw = dict(aux_pages=(4,), period=512, scale=0.02, n_threads=2)
+        vec_rows = fig9_rows(ampere, None, **kw)
         with reference_path():
-            ref_rows = fig9_aux_buffer(cache=None, **kw)
+            ref_rows = fig9_rows(ampere, None, **kw)
         assert vec_rows == ref_rows
 
     def test_cache_key_ignores_implementation_path(self, tmp_path):

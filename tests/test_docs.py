@@ -85,11 +85,11 @@ class TestReadme:
     def test_exhibit_matrix_names_entry_points(self):
         text = self.readme()
         for fn_name in (
-            "fig7_samples_vs_period",
-            "fig8_accuracy_overhead_collisions",
-            "fig9_aux_buffer",
-            "fig10_fig11_threads",
-            "colo_interference",
+            "fig7_spec",
+            "fig8_spec",
+            "fig9_spec",
+            "fig10_spec",
+            "colo_interference_spec",
             "table1_env_defaults",
         ):
             assert fn_name in text, fn_name
@@ -541,11 +541,9 @@ class TestScenariosDoc:
         for kind in KINDS:
             assert kind in doc, kind
 
-    def test_migration_table_names_every_shim_and_spec(self):
+    def test_migration_table_names_every_preset(self):
         doc = self.doc()
         for name in (
-            "fig7_samples_vs_period", "fig8_accuracy_overhead_collisions",
-            "fig9_aux_buffer", "fig10_fig11_threads", "colo_interference",
             "fig7_spec", "fig8_spec", "fig9_spec", "fig10_spec",
             "colo_interference_spec",
         ):
