@@ -15,7 +15,8 @@ reassembly, cache replication:
 Both are wall seconds (lower is better) and feed
 ``BENCH_substrate.json`` via ``bench_substrate_json.py``;
 ``check_regression.py`` holds them within 2x of the checked-in
-baseline.  Standalone::
+baseline.  The timing helpers and the disjoint cold seeds are
+``bench_serve.py``'s.  Standalone::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py
 """
@@ -24,53 +25,20 @@ from __future__ import annotations
 
 import statistics
 import tempfile
-import time
 
+from bench_serve import (
+    COLD_ROUNDS,
+    COLD_SEEDS,
+    REPLAY_ROUNDS,
+    TRIALS,
+    bench_spec,
+    cache_replay,
+    submit_to_first_row,
+)
 from repro.cluster import Coordinator, HttpClusterClient, HttpGateway, ShardAgent
 from repro.orchestrate import ResultCache
-from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 
-#: replay measurements (median taken); cold runs use distinct seeds
-REPLAY_ROUNDS = 5
-COLD_ROUNDS = 3
 N_AGENTS = 2
-
-
-def _spec(seed: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="bench-cluster",
-        kind="profile",
-        workloads=(WorkloadSpec("stream", n_threads=2, scale=0.02),),
-        machine="small_test_machine",
-        trials=2,
-        seed=seed,
-    )
-
-
-def _submit_to_first_row(client: HttpClusterClient, seed: int) -> float:
-    """Seconds from HTTP submit until the first streamed row arrives."""
-    t0 = time.perf_counter()
-    ack = client.submit(_spec(seed))
-    stream = client.stream(ack["job_id"])
-    for event in stream:
-        if event.get("event") == "row":
-            elapsed = time.perf_counter() - t0
-            break
-    else:
-        raise AssertionError("stream ended without a row")
-    for _ in stream:  # drain to the end event
-        pass
-    return elapsed
-
-
-def _cache_replay(client: HttpClusterClient, seed: int) -> float:
-    """Seconds for a full HTTP run of an already-replicated spec."""
-    t0 = time.perf_counter()
-    outcome = client.run(_spec(seed))
-    elapsed = time.perf_counter() - t0
-    assert outcome.state == "done"
-    assert all(e["cached"] for e in outcome.rows), "replay was not a cache hit"
-    return elapsed
 
 
 def bench_cluster_entries(workers: int = 2) -> dict[str, dict]:
@@ -93,18 +61,20 @@ def bench_cluster_entries(workers: int = 2) -> dict[str, dict]:
             with coord, HttpGateway(coord) as gateway:
                 client = HttpClusterClient(*gateway.address)
                 cold = [
-                    _submit_to_first_row(client, seed)
-                    for seed in range(COLD_ROUNDS)
+                    submit_to_first_row(client, bench_spec("bench-cluster", s))
+                    for s in COLD_SEEDS
                 ]
                 # seed 0 is computed now; replays must be pure cache hits
+                replayed = bench_spec("bench-cluster", 0)
                 warm = [
-                    _cache_replay(client, 0) for _ in range(REPLAY_ROUNDS)
+                    cache_replay(client, replayed)
+                    for _ in range(REPLAY_ROUNDS)
                 ]
         finally:
             for agent in agents:
                 agent.stop()
     shared = {
-        "trials": 2,
+        "trials": TRIALS,
         "workers": workers,
         "agents": N_AGENTS,
         "workload": "stream",

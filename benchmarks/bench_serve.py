@@ -13,7 +13,9 @@ The profiling service's two user-visible latencies:
 Both are wall seconds (lower is better) and feed
 ``BENCH_substrate.json`` via ``bench_substrate_json.py``;
 ``check_regression.py`` holds them within 2x of the checked-in
-baseline.  Standalone::
+baseline.  ``bench_cluster.py`` times the same two latencies over
+HTTP with the helper pair below, which takes any
+:class:`~repro.serve.ClientBase`.  Standalone::
 
     PYTHONPATH=src python benchmarks/bench_serve.py
 """
@@ -26,28 +28,33 @@ import time
 
 from repro.orchestrate import ResultCache
 from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
-from repro.serve import ProfilingServer, ServerClient
+from repro.serve import ClientBase, ProfilingServer, ServerClient
 
-#: replay measurements (median taken); cold runs use distinct seeds
+#: replay measurements (median taken)
 REPLAY_ROUNDS = 5
+#: cold measurements (median taken); round r submits seed r * TRIALS.
+#: Trial t of a spec runs seed ``spec.seed + t``, so these seeds give
+#: every round its own trials and no cold round is served from cache.
 COLD_ROUNDS = 3
+TRIALS = 2
+COLD_SEEDS = range(0, COLD_ROUNDS * TRIALS, TRIALS)
 
 
-def _spec(seed: int) -> ScenarioSpec:
+def bench_spec(name: str, seed: int) -> ScenarioSpec:
     return ScenarioSpec(
-        name="bench-serve",
+        name=name,
         kind="profile",
         workloads=(WorkloadSpec("stream", n_threads=2, scale=0.02),),
         machine="small_test_machine",
-        trials=2,
+        trials=TRIALS,
         seed=seed,
     )
 
 
-def _submit_to_first_row(client: ServerClient, seed: int) -> float:
+def submit_to_first_row(client: ClientBase, spec: ScenarioSpec) -> float:
     """Seconds from submit until the first streamed row arrives."""
     t0 = time.perf_counter()
-    ack = client.submit(_spec(seed))
+    ack = client.submit(spec)
     stream = client.stream(ack["job_id"])
     for event in stream:
         if event.get("event") == "row":
@@ -60,10 +67,10 @@ def _submit_to_first_row(client: ServerClient, seed: int) -> float:
     return elapsed
 
 
-def _cache_replay(client: ServerClient, seed: int) -> float:
+def cache_replay(client: ClientBase, spec: ScenarioSpec) -> float:
     """Seconds for a full run of an already-cached spec."""
     t0 = time.perf_counter()
-    outcome = client.run(_spec(seed))
+    outcome = client.run(spec)
     elapsed = time.perf_counter() - t0
     assert outcome.state == "done"
     assert all(e["cached"] for e in outcome.rows), "replay was not a cache hit"
@@ -78,14 +85,16 @@ def bench_serve_entries(workers: int = 2) -> dict[str, dict]:
         ) as srv:
             with ServerClient(*srv.address) as client:
                 cold = [
-                    _submit_to_first_row(client, seed)
-                    for seed in range(COLD_ROUNDS)
+                    submit_to_first_row(client, bench_spec("bench-serve", s))
+                    for s in COLD_SEEDS
                 ]
                 # seed 0 is computed now; replays must be pure cache hits
+                replayed = bench_spec("bench-serve", 0)
                 warm = [
-                    _cache_replay(client, 0) for _ in range(REPLAY_ROUNDS)
+                    cache_replay(client, replayed)
+                    for _ in range(REPLAY_ROUNDS)
                 ]
-    shared = {"trials": 2, "workers": workers, "workload": "stream"}
+    shared = {"trials": TRIALS, "workers": workers, "workload": "stream"}
     return {
         "serve_submit_to_first_row": {
             "metric": "seconds",

@@ -166,7 +166,7 @@ def _cluster_agents(args) -> str:
     with ServerClient(chost, cport) as client:
         if args.join:
             ahost, aport = _parse_agents(args.join)[0]
-            info = client.request("agents_join", host=ahost, port=aport)
+            info = client.agents_join(ahost, aport)
             agent = info["agent"]
             return (
                 f"joined {ahost}:{aport} "
@@ -174,13 +174,13 @@ def _cluster_agents(args) -> str:
             )
         if args.leave:
             ahost, aport = _parse_agents(args.leave)[0]
-            info = client.request("agents_leave", host=ahost, port=aport)
+            info = client.agents_leave(ahost, aport)
             agent = info["agent"]
             return (
                 f"left {ahost}:{aport} "
                 f"(state={agent['state']}, epoch={info['epoch']})"
             )
-        info = client.request("agents_status")
+        info = client.agents_status()
         lines = [
             f"membership epoch {info['epoch']} "
             f"(probes={info['probes']}, "

@@ -18,7 +18,9 @@ client sees:
 :class:`HttpGateway` / :class:`HttpClusterClient`
     An HTTP/JSON envelope over the same dispatch surface — ``POST
     /v1/jobs``, chunked NDJSON streaming — carrying the canonical
-    protocol payloads byte-for-byte.
+    protocol payloads byte-for-byte.  The gateway routes by, and the
+    client (the shared :class:`~repro.serve.ClientBase` surface) builds
+    its requests from, one table: :data:`ROUTES`.
 :class:`QuotaPolicy` / :class:`TokenBucket`
     Admission metering in trial tokens per tenant, rejected with
     structured ``quota_exceeded`` errors carrying ``retry_after_s``.
@@ -44,7 +46,8 @@ host1:7124,host2:7124 --http-port 8123`` (see ``docs/serving.md``).
 
 from repro.cluster.agent import ShardAgent
 from repro.cluster.coordinator import Coordinator, DEFAULT_TENANT
-from repro.cluster.http import STATUS_BY_CODE, HttpClusterClient, HttpGateway
+from repro.cluster.http import ROUTES, STATUS_BY_CODE
+from repro.cluster.http import HttpClusterClient, HttpGateway
 from repro.cluster.journal import JobJournal, JobRecovery, read_journal, recover
 from repro.cluster.membership import AGENT_STATES, AgentHandle, Membership
 from repro.cluster.partition import partition_indices, shard_for_key
@@ -66,6 +69,7 @@ __all__ = [
     "JobRecovery",
     "Membership",
     "QuotaPolicy",
+    "ROUTES",
     "RetryPolicy",
     "STATUS_BY_CODE",
     "ShardAgent",

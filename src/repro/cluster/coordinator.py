@@ -164,10 +164,6 @@ class Coordinator(ServerBase):
         """Add (and handshake) one agent; returns its handle."""
         return self.membership.add(host, port)
 
-    def _handshake(self, handle: AgentHandle) -> None:
-        """Version-check one agent; a skewed or dead peer never joins."""
-        self.membership.handshake(handle)
-
     def live_agents(self) -> list[AgentHandle]:
         return self.membership.live()
 
@@ -299,6 +295,11 @@ class Coordinator(ServerBase):
     # -- admission ---------------------------------------------------------
 
     def _op_submit(self, params: dict[str, Any]) -> dict[str, Any]:
+        if params.get("trial_indices") is not None:
+            raise ServeError(
+                "a coordinator plans and shards the whole grid itself; "
+                "trial_indices is the shard agents' sub-grid primitive"
+            )
         spec_dict = params.get("spec")
         if not isinstance(spec_dict, dict):
             raise ServeError("submit needs a spec object")

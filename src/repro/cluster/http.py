@@ -1,4 +1,4 @@
-"""HTTP/JSON gateway over any repro service, plus a matching client.
+"""HTTP/JSON transport: a gateway over any repro service and its client.
 
 The socket protocol is the native transport, but curl, dashboards, and
 non-Python tooling want HTTP.  :class:`HttpGateway` is a thin stdlib
@@ -10,42 +10,48 @@ results, stream events, structured errors) is byte-for-byte the
 canonical protocol JSON; only the envelope changes (URL + status code
 instead of a request line).
 
-Routes::
-
-    POST /v1/jobs                  submit   (body: {"spec": ..., ...})
-    GET  /v1/jobs/<id>             status
-    GET  /v1/jobs/<id>/results     results
-    POST /v1/jobs/<id>/cancel      cancel
-    GET  /v1/jobs/<id>/stream      stream   (chunked NDJSON)
-    GET  /v1/ping                  ping
-    GET  /v1/agents                agents_status (coordinator backends)
-    POST /v1/agents/join           agents_join   (body: {"host", "port"})
-    POST /v1/agents/leave          agents_leave  (body: {"host", "port"})
-    POST /v1/shutdown              shutdown (backend and gateway)
-
-Streaming uses ``Transfer-Encoding: chunked`` with one protocol JSON
-line per event — ``http.client`` (and every HTTP library) de-chunks
-transparently, so :class:`HttpClusterClient` reads the same NDJSON a
-socket stream carries.  Structured error codes map onto HTTP status
-codes (``queue_full``/``quota_exceeded`` → 429, ``unknown_job`` → 404,
-...) while the body keeps the full protocol error object, so HTTP
-clients branch on either.
+One table, :data:`ROUTES`, maps each routed op to its method and path.
+The gateway routes requests by it and :class:`HttpClusterClient` (the
+:class:`~repro.serve.ClientBase` op surface framed as HTTP) builds its
+requests from it.  A POST sends the op's parameters (minus the
+``job_id`` in its path) as its JSON body; a GET has no body; ``POST
+/v1/shutdown`` stops the backend and the gateway.  Streaming uses
+``Transfer-Encoding: chunked`` with one protocol JSON line per event —
+``http.client`` (and every HTTP library) de-chunks transparently, so
+the client reads the same NDJSON a socket stream carries.  Structured
+error codes map onto HTTP status codes (``queue_full``/
+``quota_exceeded`` → 429, ``unknown_job`` → 404, ...) while the body
+keeps the full protocol error object, so HTTP clients branch on either.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import threading
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator
 
 from repro.errors import ServeError
-from repro.scenarios.spec import ScenarioSpec
 from repro.serve import protocol
-from repro.serve.client import RunOutcome
+from repro.serve.client import ClientBase
 from repro.serve.policy import RetryPolicy
 from repro.serve.server import ServerBase
+
+#: protocol op -> (HTTP method, path); ``{job_id}`` is one path segment
+ROUTES = {
+    "submit": ("POST", "/v1/jobs"),
+    "status": ("GET", "/v1/jobs/{job_id}"),
+    "results": ("GET", "/v1/jobs/{job_id}/results"),
+    "cancel": ("POST", "/v1/jobs/{job_id}/cancel"),
+    "stream": ("GET", "/v1/jobs/{job_id}/stream"),
+    "ping": ("GET", "/v1/ping"),
+    "agents_status": ("GET", "/v1/agents"),
+    "agents_join": ("POST", "/v1/agents/join"),
+    "agents_leave": ("POST", "/v1/agents/leave"),
+    "shutdown": ("POST", "/v1/shutdown"),
+}
 
 #: structured protocol error code -> HTTP status
 STATUS_BY_CODE = {
@@ -67,6 +73,18 @@ def _status_for(response: dict[str, Any]) -> int:
         return 200
     code = (response.get("error") or {}).get("code", "bad_request")
     return STATUS_BY_CODE.get(code, 500)
+
+
+def _match(method: str, path: str) -> tuple[str, dict[str, Any]]:
+    """The op a request line names in :data:`ROUTES`, and its path
+    parameters; an unrouted request is a ``bad_request``."""
+    clean = "/" + "/".join(p for p in path.split("?")[0].split("/") if p)
+    for op, (verb, template) in ROUTES.items():
+        pattern = template.format(job_id="(?P<job_id>[^/]+)")
+        found = re.fullmatch(pattern, clean)
+        if verb == method and found:
+            return op, found.groupdict()
+    raise ServeError(f"unknown path {path!r}")
 
 
 class _GatewayHandler(BaseHTTPRequestHandler):
@@ -131,49 +149,19 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     def _route(self, method: str) -> None:
         backend = self.server.backend
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
         try:
-            if parts[:1] != ["v1"]:
-                raise ServeError(f"unknown path {self.path!r}")
-            if parts[1:] == ["ping"] and method == "GET":
-                self._send_json(backend.call("ping", {}))
-            elif parts[1:] == ["shutdown"] and method == "POST":
-                response = backend.call("shutdown", {})
-                self._send_json(response)
+            op, params = _match(method, self.path)
+            if method == "POST":
+                params = {**self._read_body(), **params}
+            if op == "stream":
+                self._send_stream(backend.stream_events(params))
+                return
+            response = backend.call(op, params)
+            self._send_json(response)
+            if op == "shutdown" and response["ok"]:
                 threading.Thread(
                     target=self.server.gateway.stop, daemon=True
                 ).start()
-            elif parts[1:] == ["agents"] and method == "GET":
-                self._send_json(backend.call("agents_status", {}))
-            elif (
-                len(parts) == 3
-                and parts[1] == "agents"
-                and parts[2] in ("join", "leave")
-                and method == "POST"
-            ):
-                self._send_json(
-                    backend.call(f"agents_{parts[2]}", self._read_body())
-                )
-            elif parts[1:] == ["jobs"] and method == "POST":
-                self._send_json(backend.call("submit", self._read_body()))
-            elif len(parts) == 3 and parts[1] == "jobs" and method == "GET":
-                self._send_json(backend.call("status", {"job_id": parts[2]}))
-            elif len(parts) == 4 and parts[1] == "jobs":
-                job_id, tail = parts[2], parts[3]
-                if tail == "results" and method == "GET":
-                    self._send_json(
-                        backend.call("results", {"job_id": job_id})
-                    )
-                elif tail == "cancel" and method == "POST":
-                    self._send_json(backend.call("cancel", {"job_id": job_id}))
-                elif tail == "stream" and method == "GET":
-                    self._send_stream(
-                        backend.stream_events({"job_id": job_id})
-                    )
-                else:
-                    raise ServeError(f"unknown path {self.path!r}")
-            else:
-                raise ServeError(f"unknown path {self.path!r}")
         except ServeError as e:
             self._send_json(protocol.error_response(e.code, str(e)))
         except (BrokenPipeError, ConnectionError):
@@ -242,13 +230,15 @@ class HttpGateway:
         self.stop()
 
 
-class HttpClusterClient:
-    """Typed HTTP client mirroring :class:`~repro.serve.ServerClient`.
+class HttpClusterClient(ClientBase):
+    """The :class:`~repro.serve.ClientBase` op surface over HTTP.
 
-    Same methods, same :class:`~repro.errors.ServeError` structured
-    failures, same :class:`~repro.serve.RunOutcome` from :meth:`run` —
-    the transport is the only difference, which is what lets the HTTP
-    gateway pass the same end-to-end suite as the socket server.
+    Each request opens one connection to its op's :data:`ROUTES`
+    entry; an op with no route (``cache_export``, say) raises a
+    structured ``bad_request``, and since a GET has no body,
+    :meth:`handshake` checks the version on this side only.  Without a
+    ``policy`` each request is one attempt: a ``submit`` is never sent
+    twice.
     """
 
     def __init__(
@@ -259,47 +249,39 @@ class HttpClusterClient:
         policy: RetryPolicy | None = None,
         rng: random.Random | None = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        if policy is None:
-            # legacy single-attempt behavior when only a timeout is given
-            policy = RetryPolicy(max_attempts=1, op_timeout_s=timeout)
-        #: the :class:`~repro.serve.RetryPolicy` for every request:
-        #: transport failures retry with full-jitter backoff under the
-        #: policy's attempt budget and overall deadline
-        self.policy = policy
-        self.timeout = policy.op_timeout_s
-        self._rng = rng
-
-    def _connection(self) -> HTTPConnection:
-        return HTTPConnection(self.host, self.port, timeout=self.timeout)
-
-    @staticmethod
-    def _checked(raw: bytes) -> dict[str, Any]:
-        response = protocol.decode_message(raw)
-        if response.get("ok"):
-            return response
-        err = response.get("error") or {}
-        raise ServeError(
-            err.get("reason", "server reported an error"),
-            code=err.get("code", "bad_request"),
-            **{k: v for k, v in err.items() if k not in ("code", "reason")},
+        super().__init__(
+            host,
+            port,
+            policy or RetryPolicy(max_attempts=1, op_timeout_s=timeout),
+            rng,
         )
 
-    def _request(
-        self, method: str, path: str, body: dict | None = None
-    ) -> dict[str, Any]:
+    @staticmethod
+    def _request_line(
+        op: str, params: dict[str, Any]
+    ) -> tuple[str, str, bytes | None]:
+        """``op``'s method, path and body, read from :data:`ROUTES`."""
+        if op not in ROUTES:
+            raise ServeError(
+                f"op {op!r} has no HTTP route; routed: {', '.join(ROUTES)}"
+            )
+        method, template = ROUTES[op]
+        body = {k: v for k, v in params.items() if k != "job_id"}
+        payload = (
+            protocol.encode_message(body) if method == "POST" and body
+            else None
+        )
+        return method, template.format(job_id=params.get("job_id")), payload
+
+    def _call(self, op: str, params: dict[str, Any]) -> dict[str, Any]:
+        method, path, payload = self._request_line(op, params)
+        headers = {"Content-Type": "application/json"} if payload else {}
+
         def once() -> dict[str, Any]:
-            conn = self._connection()
+            conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
             try:
-                payload = (
-                    None if body is None else protocol.encode_message(body)
-                )
-                headers = (
-                    {"Content-Type": "application/json"} if payload else {}
-                )
                 conn.request(method, path, body=payload, headers=headers)
-                return self._checked(conn.getresponse().read())
+                return protocol.decode_message(conn.getresponse().read())
             finally:
                 conn.close()
 
@@ -317,100 +299,16 @@ class HttpClusterClient:
                 attempts=self.policy.max_attempts,
             ) from None
 
-    # -- ops ---------------------------------------------------------------
-
-    def submit(
-        self,
-        spec: ScenarioSpec | dict,
-        priority: int = 0,
-        tenant: str | None = None,
-    ) -> dict[str, Any]:
-        """POST the scenario; returns the admission ack."""
-        spec_dict = spec.to_dict() if isinstance(spec, ScenarioSpec) else spec
-        body: dict[str, Any] = {"spec": spec_dict, "priority": priority}
-        if tenant is not None:
-            body["tenant"] = tenant
-        return self._request("POST", "/v1/jobs", body)
-
-    def status(self, job_id: str) -> dict[str, Any]:
-        return self._request("GET", f"/v1/jobs/{job_id}")
-
-    def results(self, job_id: str) -> dict[str, Any]:
-        return self._request("GET", f"/v1/jobs/{job_id}/results")
-
-    def cancel(self, job_id: str) -> dict[str, Any]:
-        return self._request("POST", f"/v1/jobs/{job_id}/cancel")
-
-    def ping(self) -> dict[str, Any]:
-        return self._request("GET", "/v1/ping")
-
-    def agents_status(self) -> dict[str, Any]:
-        """The coordinator's membership table and epoch."""
-        return self._request("GET", "/v1/agents")
-
-    def agents_join(self, host: str, port: int) -> dict[str, Any]:
-        """Admit (or revive) an agent in the coordinator's membership."""
-        return self._request(
-            "POST", "/v1/agents/join", {"host": host, "port": port}
-        )
-
-    def agents_leave(self, host: str, port: int) -> dict[str, Any]:
-        """Deregister an agent (state ``left``; never auto-revived)."""
-        return self._request(
-            "POST", "/v1/agents/leave", {"host": host, "port": port}
-        )
-
-    def shutdown(self) -> dict[str, Any]:
-        return self._request("POST", "/v1/shutdown")
-
-    def stream(self, job_id: str) -> Iterator[dict[str, Any]]:
-        """Yield stream events (``http.client`` de-chunks for us)."""
-        conn = self._connection()
+    def _events(self, job_id: str) -> Iterator[dict[str, Any]]:
+        method, path, _ = self._request_line("stream", {"job_id": job_id})
+        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
         try:
-            conn.request("GET", f"/v1/jobs/{job_id}/stream")
+            conn.request(method, path)
             response = conn.getresponse()
             if response.status != 200:
-                self._checked(response.read())  # raises the structured error
-                raise ServeError("stream failed without a structured error")
-            while True:
-                line = response.readline(protocol.MAX_LINE_BYTES + 1)
-                if not line:
-                    return
-                event = protocol.decode_message(line)
-                if "event" not in event:
-                    self._checked(line)  # the ack (or an error)
-                    continue
-                yield event
-                if event.get("event") == "end":
-                    return
+                yield protocol.decode_message(response.read())  # the error
+                return
+            while line := response.readline(protocol.MAX_LINE_BYTES + 1):
+                yield protocol.decode_message(line)
         finally:
             conn.close()
-
-    # -- convenience -------------------------------------------------------
-
-    def run(
-        self,
-        spec: ScenarioSpec | dict,
-        priority: int = 0,
-        tenant: str | None = None,
-    ) -> RunOutcome:
-        """Submit, stream every row, then fetch the final results."""
-        ack = self.submit(spec, priority=priority, tenant=tenant)
-        job_id = ack["job_id"]
-        rows: list[dict] = []
-        state = "running"
-        error = None
-        for event in self.stream(job_id):
-            if event.get("event") == "row":
-                rows.append(
-                    {k: event[k] for k in ("index", "cached", "row")}
-                )
-            else:
-                state = event.get("state", "done")
-                error = event.get("error")
-        report = None
-        if state in ("done", "partial"):
-            report = self.results(job_id).get("report")
-        return RunOutcome(
-            job_id=job_id, state=state, rows=rows, report=report, error=error
-        )

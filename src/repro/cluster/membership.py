@@ -29,7 +29,7 @@ would just blur the miss counters the thresholds are defined over.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ClusterError, ServeError
 from repro.serve.client import ServerClient
@@ -65,13 +65,6 @@ class AgentHandle:
         """Schedulable right now (state ``alive``)."""
         return self.state == "alive"
 
-    @alive.setter
-    def alive(self, value: bool) -> None:
-        # back-compat with the PR 9 boolean: True revives, False kills
-        self.state = "alive" if value else "dead"
-        if value:
-            self.misses = 0
-
     def client(self, policy: RetryPolicy | None = None) -> ServerClient:
         """A fresh connection (streams and control ops never share one)."""
         return ServerClient(self.host, self.port, policy=policy)
@@ -98,8 +91,6 @@ class Membership:
     handshaked until :meth:`handshake_all`).  ``probe_interval_s=None``
     disables the background prober (probing can still be driven
     manually via :meth:`probe_once`, which is what the unit tests do).
-    ``clock`` is unused by the prober loop itself but kept injectable
-    for future lease-based variants.
     """
 
     def __init__(
@@ -109,7 +100,6 @@ class Membership:
         probe_interval_s: float | None = None,
         suspect_after: int = 1,
         dead_after: int = 3,
-        on_change: Callable[[AgentHandle], None] | None = None,
     ) -> None:
         if suspect_after < 1 or dead_after < suspect_after:
             raise ValueError(
@@ -126,7 +116,6 @@ class Membership:
         #: coordinator re-plans a sharding round when it moves
         self.epoch = 0
         self.probes = 0  # completed probe rounds (for ping/ops)
-        self._on_change = on_change
         self._lock = threading.Lock()
         self._handles: list[AgentHandle] = [
             AgentHandle(h, p) for h, p in (agents or [])
@@ -160,15 +149,13 @@ class Membership:
 
     # -- changes -----------------------------------------------------------
 
-    def _bump(self, handle: AgentHandle) -> None:
+    def _bump(self) -> None:
         """Record a membership change (caller holds no invariants)."""
         with self._lock:
             self.epoch += 1
-        if self._on_change is not None:
-            self._on_change(handle)
 
-    def add(self, host: str, port: int, handshake: bool = True) -> AgentHandle:
-        """Join (or re-join) an agent; handshakes it first by default.
+    def add(self, host: str, port: int) -> AgentHandle:
+        """Join (or re-join) an agent; handshakes it first.
 
         Re-adding a known address revives the existing handle in place
         — a ``left`` or ``dead`` agent that comes back through
@@ -176,8 +163,7 @@ class Membership:
         """
         existing = self.get(host, port)
         handle = existing or AgentHandle(host, port)
-        if handshake:
-            self.handshake(handle)
+        self.handshake(handle)
         if existing is None:
             with self._lock:
                 self._handles.append(handle)
@@ -186,7 +172,7 @@ class Membership:
         handle.misses = 0
         handle.reason = None
         if changed:
-            self._bump(handle)
+            self._bump()
         return handle
 
     def leave(self, host: str, port: int) -> AgentHandle:
@@ -202,7 +188,7 @@ class Membership:
         if handle.state != "left":
             handle.state = "left"
             handle.reason = "deregistered"
-            self._bump(handle)
+            self._bump()
         return handle
 
     def mark_dead(self, handle: AgentHandle, reason: str) -> None:
@@ -210,7 +196,7 @@ class Membership:
         if handle.state not in ("dead", "left"):
             handle.state = "dead"
             handle.reason = reason
-            self._bump(handle)
+            self._bump()
 
     def handshake(self, handle: AgentHandle) -> None:
         """Version-check one agent; a skewed or dead peer never joins."""
@@ -253,13 +239,13 @@ class Membership:
                     if handle.state != "dead":
                         handle.state = "dead"
                         handle.reason = f"{handle.misses} missed probes"
-                        self._bump(handle)
+                        self._bump()
                         changes += 1
                 elif handle.misses >= self.suspect_after:
                     if handle.state == "alive":
                         handle.state = "suspect"
                         handle.reason = f"{handle.misses} missed probe(s)"
-                        self._bump(handle)
+                        self._bump()
                         changes += 1
             else:
                 handle.misses = 0
@@ -267,7 +253,7 @@ class Membership:
                     handle.state = "alive"
                     handle.reason = None
                     handle.revivals += 1
-                    self._bump(handle)
+                    self._bump()
                     changes += 1
         with self._lock:
             self.probes += 1

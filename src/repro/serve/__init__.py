@@ -27,14 +27,18 @@ The moving parts:
     The TCP front door: ``submit`` / ``status`` / ``results`` /
     ``stream`` / ``cancel`` / ``shutdown`` / ``ping`` over
     :mod:`repro.serve.protocol`, one handler thread per connection.
-:class:`ServerClient`
-    Typed client for all of the above, plus the
-    submit → stream → results convenience loop :meth:`ServerClient.run`.
+    :class:`ServerBase` checks every request's protocol version and op
+    in one place, whichever transport carried it.
+:class:`ClientBase` / :class:`ServerClient`
+    The one typed client surface (every op above, structured errors,
+    the submit → stream → results loop :meth:`ClientBase.run`), and
+    its socket framing; :class:`repro.cluster.HttpClusterClient`
+    frames the same surface as HTTP requests.
 :class:`RetryPolicy`
     The one dataclass governing every client-side timeout, retry
     budget, full-jitter backoff, and overall deadline — injected into
-    :class:`ServerClient`, the cluster coordinator, the HTTP client,
-    and the cache replicator instead of scattered constants.
+    both clients, the cluster coordinator and the cache replicator
+    instead of scattered constants.
 
 Start one from the shell with ``python -m repro serve --port 7123
 --workers 4 --cache-dir ~/.cache/repro`` (see ``docs/serving.md``), or
@@ -52,7 +56,7 @@ The service path is pinned byte-identical to
 functions, same cache keys — by ``tests/serve/test_server_e2e.py``.
 """
 
-from repro.serve.client import RunOutcome, ServerClient
+from repro.serve.client import ClientBase, RunOutcome, ServerClient
 from repro.serve.policy import DEFAULT_POLICY, Deadline, RetryPolicy
 from repro.serve.protocol import (
     ERROR_CODES,
@@ -65,7 +69,6 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
-    parse_request,
     read_message,
     write_message,
 )
@@ -76,6 +79,7 @@ from repro.serve.server import ProfilingServer, ServerBase
 __all__ = [
     "DEFAULT_POLICY",
     "Deadline",
+    "ClientBase",
     "ERROR_CODES",
     "JOB_STATES",
     "Job",
@@ -96,7 +100,6 @@ __all__ = [
     "encode_message",
     "error_response",
     "ok_response",
-    "parse_request",
     "read_message",
     "write_message",
 ]

@@ -1,9 +1,13 @@
-"""Client helper for the profiling service.
+"""Clients for the profiling service: one op surface, two framings.
 
-:class:`ServerClient` wraps one socket connection in typed methods for
-every protocol op, raising :class:`~repro.errors.ServeError` (with the
-server's structured ``code``/details) on failure responses so callers
-can branch on ``queue_full`` vs ``bad_spec`` without parsing prose.
+:class:`ClientBase` holds every protocol op as a typed method, the
+structured-error mapping (a failure response raises
+:class:`~repro.errors.ServeError` with the server's ``code``/details,
+so callers can branch on ``queue_full`` vs ``bad_spec`` without
+parsing prose), :meth:`~ClientBase.stream` and the
+submit → stream → results loop :meth:`~ClientBase.run`.  A subclass
+only frames messages: :class:`ServerClient` writes them as lines on one
+socket, :class:`~repro.cluster.HttpClusterClient` as HTTP requests.
 
 Quickstart::
 
@@ -15,11 +19,6 @@ Quickstart::
         for event in outcome.rows:
             print(event["index"], event["row"])
         print(outcome.report["provenance"]["spec_hash"])
-
-:meth:`ServerClient.run` is the submit → stream → results convenience
-loop; the individual ops (:meth:`submit`, :meth:`stream`,
-:meth:`status`, :meth:`results`, :meth:`cancel`, :meth:`shutdown`)
-compose for anything finer-grained.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.serve.policy import RetryPolicy
 
 @dataclass
 class RunOutcome:
-    """Everything one :meth:`ServerClient.run` call produced.
+    """Everything one :meth:`ClientBase.run` call produced.
 
     ``rows`` are the streamed row events in landing order (each with
     ``index``/``cached``/``row``); ``report`` is the server's final
@@ -53,53 +52,216 @@ class RunOutcome:
     error: str | None = None
 
 
-class ServerClient:
-    """One connection to a :class:`~repro.serve.ProfilingServer`."""
+class ClientBase:
+    """The protocol op surface every repro client shares.
+
+    The client-side mirror of :class:`~repro.serve.ServerBase`: a
+    subclass supplies the framing — :meth:`connect` / :meth:`close`,
+    ``_call(op, params)`` returning one response dict, and
+    ``_events(job_id)`` yielding a stream's messages (the ack, then the
+    events) — and inherits every op from here.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        policy: RetryPolicy,
+        rng: random.Random | None,
+    ) -> None:
+        self.host = host
+        self.port = port
+        #: the :class:`~repro.serve.RetryPolicy` governing attempts,
+        #: backoff shape, socket timeouts and the overall deadline
+        self.policy = policy
+        self.timeout = policy.op_timeout_s
+        self._rng = rng
+
+    # -- framing -----------------------------------------------------------
+
+    def connect(self) -> "ClientBase":
+        """Open the transport; a client that connects per request has
+        nothing to open."""
+        return self
+
+    def close(self) -> None:
+        """Release the transport; idempotent."""
+
+    def __enter__(self) -> "ClientBase":
+        return self.connect()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @staticmethod
+    def _checked(response: dict[str, Any]) -> dict[str, Any]:
+        if response.get("ok"):
+            return response
+        err = response.get("error") or {}
+        raise ServeError(
+            err.get("reason", "server reported an error"),
+            code=err.get("code", "bad_request"),
+            **{k: v for k, v in err.items() if k not in ("code", "reason")},
+        )
+
+    # -- ops ---------------------------------------------------------------
+
+    def request(self, op: str, **params: Any) -> dict[str, Any]:
+        """One arbitrary-op request/response round trip.
+
+        The escape hatch for protocol extensions — the cluster shard
+        agents accept ``cache_export`` / ``cache_import`` beyond the
+        base :data:`~repro.serve.protocol.OPS`, and this is how the
+        coordinator's replicator reaches them with the same structured
+        error handling as the typed methods.
+        """
+        return self._checked(self._call(op, params))
+
+    def submit(
+        self,
+        spec: ScenarioSpec | dict,
+        priority: int = 0,
+        trial_indices: list[int] | None = None,
+        tenant: str | None = None,
+    ) -> dict[str, Any]:
+        """Submit a scenario; returns the admission ack (``job_id`` ...).
+
+        ``trial_indices`` restricts the job to a sub-grid of the spec's
+        plan (the shard agents' primitive; a coordinator rejects it);
+        ``tenant`` names the quota bucket on coordinators that enforce
+        per-tenant quotas.  Raises :class:`~repro.errors.ServeError`
+        with ``code="queue_full"`` (or ``"quota_exceeded"``) when
+        admission rejects the job.
+        """
+        spec_dict = spec.to_dict() if isinstance(spec, ScenarioSpec) else spec
+        params: dict[str, Any] = {"spec": spec_dict, "priority": priority}
+        if trial_indices is not None:
+            params["trial_indices"] = list(trial_indices)
+        if tenant is not None:
+            params["tenant"] = tenant
+        return self.request("submit", **params)
+
+    def status(self, job_id: str) -> dict[str, Any]:
+        """The job's state/progress snapshot."""
+        return self.request("status", job_id=job_id)
+
+    def results(self, job_id: str) -> dict[str, Any]:
+        """Final rows + report for a ``done``/``partial`` job."""
+        return self.request("results", job_id=job_id)
+
+    def stream(self, job_id: str) -> Iterator[dict[str, Any]]:
+        """Yield row events as trials land; ends after the ``end`` event.
+
+        The generator yields every ``{"event": "row", ...}`` dict and
+        finally the ``{"event": "end", "state": ...}`` dict.
+        """
+        for msg in self._events(job_id):
+            if "event" not in msg:
+                self._checked(msg)  # the ack, or a structured error
+                continue
+            yield msg
+            if msg["event"] == "end":
+                return
+
+    def cancel(self, job_id: str) -> dict[str, Any]:
+        """Cancel a queued/running job."""
+        return self.request("cancel", job_id=job_id)
+
+    def ping(self) -> dict[str, Any]:
+        """Server liveness + pool/queue statistics."""
+        return self.request("ping")
+
+    def handshake(self) -> dict[str, Any]:
+        """Version-checked ping: both sides verify PROTOCOL_VERSION.
+
+        The request carries this client's
+        :data:`~repro.serve.protocol.PROTOCOL_VERSION` so the server
+        rejects a skewed peer with a structured ``protocol_mismatch``
+        error; the response's version is checked symmetrically here.
+        The cluster coordinator handshakes every agent it registers.
+        """
+        info = self.request("ping", protocol=protocol.PROTOCOL_VERSION)
+        if info.get("protocol") != protocol.PROTOCOL_VERSION:
+            raise ServeError(
+                f"server {self.host}:{self.port} speaks protocol "
+                f"{info.get('protocol')!r}, this client speaks "
+                f"{protocol.PROTOCOL_VERSION}",
+                code="protocol_mismatch",
+                server=info.get("protocol"),
+                client=protocol.PROTOCOL_VERSION,
+            )
+        return info
+
+    def agents_status(self) -> dict[str, Any]:
+        """A coordinator's membership table and epoch."""
+        return self.request("agents_status")
+
+    def agents_join(self, host: str, port: int) -> dict[str, Any]:
+        """Admit (or revive) an agent in a coordinator's membership."""
+        return self.request("agents_join", host=host, port=port)
+
+    def agents_leave(self, host: str, port: int) -> dict[str, Any]:
+        """Deregister an agent (state ``left``; never auto-revived)."""
+        return self.request("agents_leave", host=host, port=port)
+
+    def shutdown(self) -> dict[str, Any]:
+        """Ask the server to stop (acknowledged before it unwinds)."""
+        response = self.request("shutdown")
+        self.close()
+        return response
+
+    def run(
+        self,
+        spec: ScenarioSpec | dict,
+        priority: int = 0,
+        tenant: str | None = None,
+    ) -> RunOutcome:
+        """Submit, stream every row, then fetch the final results."""
+        ack = self.submit(spec, priority=priority, tenant=tenant)
+        job_id = ack["job_id"]
+        rows: list[dict] = []
+        state = "running"
+        error = None
+        for event in self.stream(job_id):
+            if event.get("event") == "row":
+                rows.append(
+                    {k: event[k] for k in ("index", "cached", "row")}
+                )
+            else:
+                state = event.get("state", "done")
+                error = event.get("error")
+        report = None
+        if state in ("done", "partial"):
+            report = self.results(job_id).get("report")
+        return RunOutcome(
+            job_id=job_id, state=state, rows=rows, report=report, error=error
+        )
+
+
+class ServerClient(ClientBase):
+    """One line-JSON socket connection to a :class:`~repro.serve.ServerBase`.
+
+    Without a ``policy``, a connect makes 3 jitter-free attempts (0.1 s
+    base backoff, 5 s per dial) and ``timeout`` bounds each request.
+    """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 7123,
         timeout: float | None = 60.0,
-        connect_timeout: float = 5.0,
-        connect_retries: int = 2,
-        backoff_s: float = 0.1,
         policy: RetryPolicy | None = None,
         rng: random.Random | None = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        if policy is None:
-            # legacy kwargs synthesize a policy; jitter stays off for
-            # them so existing callers keep deterministic schedules
-            policy = RetryPolicy(
-                max_attempts=1 + max(0, int(connect_retries)),
-                base_backoff_s=backoff_s,
-                jitter=False,
-                op_timeout_s=timeout,
-                connect_timeout_s=connect_timeout,
-            )
-        #: the :class:`~repro.serve.RetryPolicy` governing connect
-        #: attempts, backoff shape, socket timeouts, and the overall
-        #: connect deadline
-        self.policy = policy
-        self.timeout = policy.op_timeout_s
-        #: per-attempt TCP connect ceiling — a dead or blackholed host
-        #: fails the attempt in bounded time instead of blocking on the
-        #: (much longer) request ``timeout``
-        self.connect_timeout = policy.connect_timeout_s
-        #: extra attempts after the first failure (0 = fail fast)
-        self.connect_retries = policy.max_attempts - 1
-        #: upper bound of retry ``k``'s backoff:
-        #: ``min(backoff_cap_s, backoff_s * 2**k)`` (full jitter draws
-        #: uniformly below it when the policy enables jitter)
-        self.backoff_s = policy.base_backoff_s
-        self._rng = rng
+        super().__init__(
+            host,
+            port,
+            policy or RetryPolicy(jitter=False, op_timeout_s=timeout),
+            rng,
+        )
         self._sock: socket.socket | None = None
         self._rfile = None
         self._wfile = None
-
-    # -- connection --------------------------------------------------------
 
     def connect(self) -> "ServerClient":
         """Open the socket (lazy: request methods call this on demand).
@@ -175,160 +337,18 @@ class ServerClient:
                 pass
         self._sock = self._rfile = self._wfile = None
 
-    def __enter__(self) -> "ServerClient":
-        return self.connect()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- request plumbing --------------------------------------------------
-
-    def _send(self, payload: dict[str, Any]) -> None:
-        self.connect()
-        protocol.write_message(self._wfile, payload)
-
     def _read(self) -> dict[str, Any]:
         msg = protocol.read_message(self._rfile)
         if msg is None:
             raise ServeError("server closed the connection")
         return msg
 
-    @staticmethod
-    def _checked(response: dict[str, Any]) -> dict[str, Any]:
-        if response.get("ok"):
-            return response
-        err = response.get("error") or {}
-        raise ServeError(
-            err.get("reason", "server reported an error"),
-            code=err.get("code", "bad_request"),
-            **{k: v for k, v in err.items() if k not in ("code", "reason")},
-        )
+    def _call(self, op: str, params: dict[str, Any]) -> dict[str, Any]:
+        self.connect()
+        protocol.write_message(self._wfile, {"op": op, **params})
+        return self._read()
 
-    def _request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        self._send(payload)
-        return self._checked(self._read())
-
-    def request(self, op: str, **params: Any) -> dict[str, Any]:
-        """One arbitrary-op request/response round trip.
-
-        The escape hatch for protocol extensions — the cluster shard
-        agents accept ``cache_export`` / ``cache_import`` beyond the
-        base :data:`~repro.serve.protocol.OPS`, and this is how the
-        coordinator's replicator reaches them with the same structured
-        error handling as the typed methods.
-        """
-        return self._request({"op": op, **params})
-
-    # -- ops ---------------------------------------------------------------
-
-    def submit(
-        self,
-        spec: ScenarioSpec | dict,
-        priority: int = 0,
-        trial_indices: list[int] | None = None,
-        tenant: str | None = None,
-    ) -> dict[str, Any]:
-        """Submit a scenario; returns the admission ack (``job_id`` ...).
-
-        ``trial_indices`` restricts the job to a sub-grid of the spec's
-        plan (the cluster sharding primitive); ``tenant`` names the
-        quota bucket on coordinators that enforce per-tenant quotas.
-        Raises :class:`~repro.errors.ServeError` with
-        ``code="queue_full"`` (or ``"quota_exceeded"``) when admission
-        rejects the job.
-        """
-        spec_dict = spec.to_dict() if isinstance(spec, ScenarioSpec) else spec
-        payload = {"op": "submit", "spec": spec_dict, "priority": priority}
-        if trial_indices is not None:
-            payload["trial_indices"] = list(trial_indices)
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._request(payload)
-
-    def status(self, job_id: str) -> dict[str, Any]:
-        """The job's state/progress snapshot."""
-        return self._request({"op": "status", "job_id": job_id})
-
-    def results(self, job_id: str) -> dict[str, Any]:
-        """Final rows + report for a ``done``/``partial`` job."""
-        return self._request({"op": "results", "job_id": job_id})
-
-    def stream(self, job_id: str) -> Iterator[dict[str, Any]]:
-        """Yield row events as trials land; ends after the ``end`` event.
-
-        The generator yields every ``{"event": "row", ...}`` dict and
-        finally the ``{"event": "end", "state": ...}`` dict.
-        """
-        self._send({"op": "stream", "job_id": job_id})
-        self._checked(self._read())  # streaming ack
+    def _events(self, job_id: str) -> Iterator[dict[str, Any]]:
+        yield self._call("stream", {"job_id": job_id})
         while True:
-            event = self._read()
-            yield event
-            if event.get("event") == "end":
-                return
-
-    def cancel(self, job_id: str) -> dict[str, Any]:
-        """Cancel a queued/running job."""
-        return self._request({"op": "cancel", "job_id": job_id})
-
-    def ping(self) -> dict[str, Any]:
-        """Server liveness + pool/queue statistics."""
-        return self._request({"op": "ping"})
-
-    def handshake(self) -> dict[str, Any]:
-        """Version-checked ping: both sides verify PROTOCOL_VERSION.
-
-        The request carries this client's
-        :data:`~repro.serve.protocol.PROTOCOL_VERSION` so the server
-        rejects a skewed peer with a structured ``protocol_mismatch``
-        error; the response's version is checked symmetrically here.
-        The cluster coordinator handshakes every agent it registers.
-        """
-        info = self._request(
-            {"op": "ping", "protocol": protocol.PROTOCOL_VERSION}
-        )
-        if info.get("protocol") != protocol.PROTOCOL_VERSION:
-            raise ServeError(
-                f"server {self.host}:{self.port} speaks protocol "
-                f"{info.get('protocol')!r}, this client speaks "
-                f"{protocol.PROTOCOL_VERSION}",
-                code="protocol_mismatch",
-                server=info.get("protocol"),
-                client=protocol.PROTOCOL_VERSION,
-            )
-        return info
-
-    def shutdown(self) -> dict[str, Any]:
-        """Ask the server to stop (acknowledged before it unwinds)."""
-        response = self._request({"op": "shutdown"})
-        self.close()
-        return response
-
-    # -- convenience -------------------------------------------------------
-
-    def run(
-        self,
-        spec: ScenarioSpec | dict,
-        priority: int = 0,
-        tenant: str | None = None,
-    ) -> RunOutcome:
-        """Submit, stream every row, then fetch the final results."""
-        ack = self.submit(spec, priority=priority, tenant=tenant)
-        job_id = ack["job_id"]
-        rows: list[dict] = []
-        state = "running"
-        error = None
-        for event in self.stream(job_id):
-            if event.get("event") == "row":
-                rows.append(
-                    {k: event[k] for k in ("index", "cached", "row")}
-                )
-            else:
-                state = event.get("state", "done")
-                error = event.get("error")
-        report = None
-        if state in ("done", "partial"):
-            report = self.results(job_id).get("report")
-        return RunOutcome(
-            job_id=job_id, state=state, rows=rows, report=report, error=error
-        )
+            yield self._read()

@@ -104,20 +104,6 @@ def error_response(code: str, reason: str, **details: Any) -> dict[str, Any]:
     return {"ok": False, "error": {"code": code, "reason": reason, **details}}
 
 
-def parse_request(
-    msg: dict[str, Any], ops: tuple[str, ...] = OPS
-) -> tuple[str | None, dict[str, Any]]:
-    """Split a request into ``(op, params)``; ``op=None`` if invalid.
-
-    ``ops`` lets protocol extensions (the cluster shard agents) accept
-    their extra operations through the same parser.
-    """
-    op = msg.get("op")
-    if not isinstance(op, str) or op not in ops:
-        return None, {}
-    return op, {k: v for k, v in msg.items() if k != "op"}
-
-
 def check_protocol(msg: dict[str, Any]) -> dict[str, Any] | None:
     """Version-gate one request; an error response on skew, else None.
 
@@ -126,7 +112,7 @@ def check_protocol(msg: dict[str, Any]) -> dict[str, Any] | None:
     ``protocol_mismatch`` rejection naming both versions instead of
     undefined behavior on wire-format skew; requests without the field
     are accepted (version checking is opt-in per request, and
-    :meth:`~repro.serve.ServerClient.handshake` opts in).
+    :meth:`~repro.serve.ClientBase.handshake` opts in).
     """
     peer = msg.get("protocol")
     if peer is None or peer == PROTOCOL_VERSION:

@@ -4,8 +4,9 @@ Two classes live here:
 
 :class:`ServerBase`
     The transport and job bookkeeping every repro service shares — the
-    TCP listener with one handler thread per connection, request
-    dispatch with structured error mapping, and the job-centric ops
+    TCP listener with one handler thread per connection, the one
+    request check (protocol version, then op) with structured error
+    mapping, and the job-centric ops
     (``status`` / ``results`` / ``stream`` / ``cancel`` / ``shutdown``)
     that only need a :class:`~repro.serve.queue.JobQueue`.  Subclasses
     provide admission (``submit``) and liveness (``ping``).  The
@@ -184,14 +185,23 @@ class ServerBase:
 
     # -- request dispatch --------------------------------------------------
 
-    def call(self, op: str, params: dict[str, Any]) -> dict[str, Any]:
+    @staticmethod
+    def _check_version(params: dict[str, Any]) -> None:
+        """Reject a request whose ``protocol`` is not this server's."""
+        skew = protocol.check_protocol(params)
+        if skew is not None:
+            error = skew["error"]
+            raise ServeError(error.pop("reason"), **error)
+
+    def call(self, op: Any, params: dict[str, Any]) -> dict[str, Any]:
         """Serve one non-stream request as a response dict.
 
-        The socketless dispatch surface: identical semantics and error
-        mapping to a request line over the socket, returned instead of
-        written — what the HTTP gateway and in-process callers use.
+        The one place a request's protocol version and op are checked
+        (:meth:`stream_events` does the same for streams): the socket
+        and the HTTP gateway only frame what it returns.
         """
         try:
+            self._check_version(params)
             if op not in self.OPS or op == "stream":
                 raise ServeError(
                     f"unknown or missing op {op!r}; "
@@ -208,26 +218,15 @@ class ServerBase:
             return protocol.error_response("bad_request", str(e))
 
     def dispatch(self, msg: dict[str, Any], wfile: BinaryIO) -> bool:
-        """Serve one request onto ``wfile``; False closes the connection."""
-        skew = protocol.check_protocol(msg)
-        if skew is not None:
-            protocol.write_message(wfile, skew)
-            return True
-        op, params = protocol.parse_request(msg, self.OPS)
-        if op is None:
-            protocol.write_message(
-                wfile,
-                protocol.error_response(
-                    "bad_request",
-                    f"unknown or missing op {msg.get('op')!r}; "
-                    f"known: {', '.join(self.OPS)}",
-                ),
-            )
-            return True
+        """Serve one request line onto ``wfile``; False closes the
+        connection (after a ``shutdown``, or a stream cut short)."""
+        op = msg.get("op")
+        params = {k: v for k, v in msg.items() if k != "op"}
         if op == "stream":
             return self._op_stream(params, wfile)
-        protocol.write_message(wfile, self.call(op, params))
-        return op != "shutdown"
+        response = self.call(op, params)
+        protocol.write_message(wfile, response)
+        return op != "shutdown" or not response["ok"]
 
     # -- shared ops --------------------------------------------------------
 
@@ -271,9 +270,10 @@ class ServerBase:
         event, then ``end`` — the transport-agnostic body of the
         ``stream`` op (socket handlers write the dicts as lines, the
         HTTP gateway as chunks).  Raises :class:`ServeError` before the
-        first yield for unknown jobs; ends without an ``end`` event
-        only if the server is stopping.
+        first yield for a skewed protocol version or an unknown job;
+        ends without an ``end`` event only if the server is stopping.
         """
+        self._check_version(params)
         job = self._require_job(params)
         yield protocol.ok_response(
             job_id=job.id, streaming=True, trials=job.total
@@ -302,7 +302,7 @@ class ServerBase:
             first = next(stream)
         except ServeError as e:
             protocol.write_message(
-                wfile, protocol.error_response(e.code, str(e))
+                wfile, protocol.error_response(e.code, str(e), **e.details)
             )
             return True
         protocol.write_message(wfile, first)

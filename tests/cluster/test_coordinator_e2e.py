@@ -19,7 +19,13 @@ import time
 
 import pytest
 
-from repro.cluster import Coordinator, QuotaPolicy, ShardAgent
+from repro.cluster import (
+    Coordinator,
+    HttpClusterClient,
+    HttpGateway,
+    QuotaPolicy,
+    ShardAgent,
+)
 from repro.errors import ServeError
 from repro.orchestrate import ResultCache, cache_key
 from repro.scenarios import Session
@@ -222,6 +228,27 @@ class TestFaults:
                 assert job.wait_terminal(timeout=60) == "cancelled"
                 time.sleep(0.2)  # any in-flight shard rows settle
                 assert job.state == "cancelled"
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("client_cls", [ServerClient, HttpClusterClient])
+    def test_trial_indices_are_rejected(self, tmp_path, client_cls):
+        # the coordinator shards the whole grid itself: a sub-grid ask
+        # is refused, never silently widened to every trial
+        spec = cluster_spec(
+            name="no-sub-grid", trials=3, seed=41, workloads=("stream",)
+        )
+        with ShardAgent(
+            port=0, workers=1, cache=ResultCache(tmp_path / "agent")
+        ) as agent, make_coordinator([agent], tmp_path) as coord:
+            with HttpGateway(coord) as gw:
+                front = coord if client_cls is ServerClient else gw
+                with client_cls(*front.address) as client:
+                    with pytest.raises(ServeError) as exc:
+                        client.submit(spec, trial_indices=[0])
+        assert exc.value.code == "bad_request"
+        assert "trial_indices" in str(exc.value)
+        assert coord.queue.jobs() == []
 
 
 class TestQuota:

@@ -90,6 +90,19 @@ class TestHttpE2E:
         assert info["protocol"] == protocol.PROTOCOL_VERSION
         assert info["workers"] == 2
 
+    def test_handshake_checks_the_version_client_side(
+        self, backend, client, monkeypatch
+    ):
+        assert client.handshake()["protocol"] == protocol.PROTOCOL_VERSION
+        # GET /v1/ping has no body, so a skewed server is caught here
+        monkeypatch.setattr(
+            backend, "_op_ping", lambda _p: protocol.ok_response(protocol=99)
+        )
+        with pytest.raises(ServeError) as exc:
+            client.handshake()
+        assert exc.value.code == "protocol_mismatch"
+        assert exc.value.details["server"] == 99
+
 
 class TestHttpErrors:
     def test_unknown_job_is_404_with_structured_body(self, gateway):
@@ -126,6 +139,12 @@ class TestHttpErrors:
         with pytest.raises(ServeError) as exc:
             list(client.stream("job-999-deadbeef"))
         assert exc.value.code == "unknown_job"
+
+    def test_op_without_a_route_is_structured(self, client):
+        with pytest.raises(ServeError) as exc:
+            client.request("cache_export", key="k")
+        assert exc.value.code == "bad_request"
+        assert "no HTTP route" in str(exc.value)
 
     def test_client_raises_typed_errors(self, client):
         with pytest.raises(ServeError) as exc:

@@ -9,10 +9,12 @@ agent that dies and is restarted is re-admitted by the prober and
 receives work **without a coordinator restart**.
 """
 
+import re
 import time
 
 import pytest
 
+from repro.__main__ import main
 from repro.cluster import (
     AGENT_STATES,
     HttpClusterClient,
@@ -46,15 +48,6 @@ def wait_until(predicate, timeout=10.0, step=0.02):
 class TestStates:
     def test_state_catalogue(self):
         assert AGENT_STATES == ("alive", "suspect", "dead", "left")
-
-    def test_alive_setter_backcompat(self, tmp_path):
-        membership = Membership(agents=[("127.0.0.1", 9)], policy=FAST)
-        (handle,) = membership.handles()
-        assert handle.alive and handle.state == "alive"
-        handle.alive = False
-        assert handle.state == "dead" and not handle.alive
-        handle.alive = True
-        assert handle.state == "alive" and handle.misses == 0
 
     def test_describe_carries_the_lifecycle_fields(self):
         membership = Membership(agents=[("127.0.0.1", 9)], policy=FAST)
@@ -175,22 +168,18 @@ class TestMembershipOps:
         try:
             with make_coordinator([a], tmp_path, policy=FAST) as coord:
                 with ServerClient(*coord.address) as client:
-                    status = client.request("agents_status")
+                    status = client.agents_status()
                     assert len(status["agents"]) == 1
                     epoch0 = status["epoch"]
 
-                    joined = client.request(
-                        "agents_join", host=b.address[0], port=b.address[1]
-                    )
+                    joined = client.agents_join(*b.address)
                     assert joined["agent"]["state"] == "alive"
                     assert joined["epoch"] > epoch0
 
-                    left = client.request(
-                        "agents_leave", host=b.address[0], port=b.address[1]
-                    )
+                    left = client.agents_leave(*b.address)
                     assert left["agent"]["state"] == "left"
 
-                    status = client.request("agents_status")
+                    status = client.agents_status()
                     states = {
                         (s["host"], s["port"]): s["state"]
                         for s in status["agents"]
@@ -234,6 +223,30 @@ class TestMembershipOps:
         finally:
             a.stop()
             b.stop()
+
+    def test_cluster_agents_cli_joins_leaves_and_lists(
+        self, tmp_path, capsys
+    ):
+        a = ShardAgent(port=0, workers=1, cache=ResultCache(tmp_path / "a"))
+        b = ShardAgent(port=0, workers=1, cache=ResultCache(tmp_path / "b"))
+        a.start()
+        b.start()
+        agent = "{}:{}".format(*b.address)
+        try:
+            with make_coordinator([a], tmp_path, policy=FAST) as coord:
+                cli = ["cluster", "agents", "--coordinator",
+                       "{}:{}".format(*coord.address)]
+                assert main(cli + ["--join", agent]) == 0
+                assert main(cli + ["--leave", agent]) == 0
+                assert main(cli) == 0
+        finally:
+            a.stop()
+            b.stop()
+        out = capsys.readouterr().out
+        assert f"joined {agent} (state=alive, epoch=1)" in out
+        assert f"left {agent} (state=left, epoch=2)" in out
+        assert "membership epoch 2" in out
+        assert re.search(rf"^  {agent}\s+left ", out, re.M)
 
     def test_bad_agent_addr_params_are_rejected(self, tmp_path):
         a = ShardAgent(port=0, workers=1, cache=ResultCache(tmp_path / "a"))

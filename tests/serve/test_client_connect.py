@@ -32,7 +32,8 @@ class TestConnectRetry:
     def test_dead_host_fails_with_structured_error(self):
         port = closed_port()
         client = ServerClient(
-            "127.0.0.1", port, connect_retries=2, backoff_s=0.01
+            "127.0.0.1", port,
+            policy=RetryPolicy(max_attempts=3, base_backoff_s=0.01),
         )
         with pytest.raises(ServeError) as exc:
             client.connect()
@@ -44,21 +45,24 @@ class TestConnectRetry:
 
     def test_zero_retries_fails_fast(self):
         client = ServerClient(
-            "127.0.0.1", closed_port(), connect_retries=0, backoff_s=0.01
+            "127.0.0.1", closed_port(),
+            policy=RetryPolicy(max_attempts=1, base_backoff_s=0.01),
         )
         with pytest.raises(ServeError) as exc:
             client.connect()
         assert exc.value.details["attempts"] == 1
 
     def test_backoff_is_exponential(self, monkeypatch):
-        # legacy kwargs synthesize a jitter-free policy, so the sleeps
-        # are the exact exponential bounds
+        # a jitter-free policy sleeps the exact exponential bounds
         sleeps = []
         monkeypatch.setattr(
             "repro.serve.client.time.sleep", sleeps.append
         )
         client = ServerClient(
-            "127.0.0.1", closed_port(), connect_retries=3, backoff_s=0.1
+            "127.0.0.1", closed_port(),
+            policy=RetryPolicy(
+                max_attempts=4, base_backoff_s=0.1, jitter=False
+            ),
         )
         with pytest.raises(ServeError):
             client.connect()
@@ -66,7 +70,8 @@ class TestConnectRetry:
 
     def test_connect_failed_reports_elapsed_time(self):
         client = ServerClient(
-            "127.0.0.1", closed_port(), connect_retries=0, backoff_s=0.0
+            "127.0.0.1", closed_port(),
+            policy=RetryPolicy(max_attempts=1, base_backoff_s=0.0),
         )
         with pytest.raises(ServeError) as exc:
             client.connect()
@@ -127,7 +132,7 @@ class TestPolicyConnect:
         with ServerClient(*server.address, policy=policy) as client:
             assert client._sock.gettimeout() == 12.5
         assert client.timeout == 12.5
-        assert client.connect_timeout == 1.25
+        assert client.policy.connect_timeout_s == 1.25
 
     def test_transient_refusal_is_retried_to_success(
         self, server, monkeypatch
@@ -145,7 +150,8 @@ class TestPolicyConnect:
             "repro.serve.client.socket.create_connection", flaky
         )
         with ServerClient(
-            *server.address, connect_retries=2, backoff_s=0.01
+            *server.address,
+            policy=RetryPolicy(max_attempts=3, base_backoff_s=0.01),
         ) as client:
             assert client.ping()["workers"] == 1
         assert failures[0] == 0
@@ -161,8 +167,10 @@ class TestPolicyConnect:
             "repro.serve.client.socket.create_connection", capture
         )
         client = ServerClient(
-            "127.0.0.1", 7123, connect_timeout=1.5,
-            connect_retries=1, backoff_s=0.0,
+            "127.0.0.1", 7123,
+            policy=RetryPolicy(
+                max_attempts=2, base_backoff_s=0.0, connect_timeout_s=1.5
+            ),
         )
         with pytest.raises(ServeError):
             client.connect()
@@ -176,14 +184,18 @@ class TestHandshake:
         assert info["protocol"] == protocol.PROTOCOL_VERSION
 
     def test_server_rejects_skewed_client(self, server):
-        # a future client announcing a version this server won't speak
-        with ServerClient(*server.address) as client:
-            with pytest.raises(ServeError) as exc:
-                client.request("ping", protocol=99)
-        err = exc.value
-        assert err.code == "protocol_mismatch"
-        assert err.details["server"] == protocol.PROTOCOL_VERSION
-        assert err.details["client"] == 99
+        # a future client announcing a version this server won't speak;
+        # a stream is gated before its job is even looked up
+        for op in ("ping", "stream"):
+            with ServerClient(*server.address) as client:
+                with pytest.raises(ServeError) as exc:
+                    client.request(op, job_id="job-0-none", protocol=99)
+                # the connection survives the rejection
+                assert client.ping()["workers"] == 1
+            err = exc.value
+            assert err.code == "protocol_mismatch", op
+            assert err.details["server"] == protocol.PROTOCOL_VERSION
+            assert err.details["client"] == 99
 
     def test_unversioned_ping_still_works(self, server):
         # plain pings (no protocol field) are not rejected — the

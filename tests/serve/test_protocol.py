@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.serve import protocol
+from repro.serve import ServerBase, protocol
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     OPS,
@@ -13,7 +13,6 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
-    parse_request,
     read_message,
     write_message,
 )
@@ -81,20 +80,23 @@ class TestResponses:
 
 
 class TestParseRequest:
+    """A server splits each request line into its op and params."""
+
     @pytest.mark.parametrize("op", OPS)
     def test_every_op_parses(self, op):
-        parsed_op, params = parse_request({"op": op, "job_id": "j"})
-        assert parsed_op == op
-        assert params == {"job_id": "j"}
+        server = ServerBase()
+        seen = []
 
-    def test_unknown_op_is_none(self):
-        assert parse_request({"op": "frobnicate"}) == (None, {})
+        def handler(params, *_wfile):
+            seen.append(params)
+            return ok_response()
 
-    def test_missing_op_is_none(self):
-        assert parse_request({"job_id": "j"}) == (None, {})
-
-    def test_non_string_op_is_none(self):
-        assert parse_request({"op": 7}) == (None, {})
+        setattr(server, f"_op_{op}", handler)
+        try:
+            server.dispatch({"op": op, "job_id": "j"}, io.BytesIO())
+        finally:
+            server.stop()
+        assert seen == [{"job_id": "j"}]
 
 
 class TestProtocolVersionCheck:
@@ -112,12 +114,3 @@ class TestProtocolVersionCheck:
         assert skew["error"]["code"] == "protocol_mismatch"
         assert skew["error"]["server"] == protocol.PROTOCOL_VERSION
         assert skew["error"]["client"] == 99
-
-    def test_extended_ops_parse_with_the_ops_parameter(self):
-        ops = OPS + ("cache_export",)
-        op, params = parse_request(
-            {"op": "cache_export", "key": "k"}, ops
-        )
-        assert op == "cache_export"
-        assert params == {"key": "k"}
-        assert parse_request({"op": "cache_export"}) == (None, {})

@@ -192,12 +192,21 @@ class TestErrors:
         assert reply["error"]["code"] == "bad_request"
 
     def test_unknown_op_is_bad_request(self, server):
-        with socket.create_connection(server.address, timeout=10) as sock:
-            f = sock.makefile("rwb")
-            protocol.write_message(f, {"op": "frobnicate"})
-            reply = protocol.read_message(f)
-        assert reply["ok"] is False
-        assert "known:" in reply["error"]["reason"]
+        # a shard agent's cache_export is no op of a plain server, and
+        # a missing or non-string op is as unknown as a made-up one
+        for request in (
+            {"op": "frobnicate"},
+            {"op": "cache_export", "key": "k"},
+            {"job_id": "j"},
+            {"op": 7},
+        ):
+            with socket.create_connection(server.address, timeout=10) as sock:
+                f = sock.makefile("rwb")
+                protocol.write_message(f, request)
+                reply = protocol.read_message(f)
+            assert reply["ok"] is False, request
+            assert reply["error"]["code"] == "bad_request", request
+            assert "known:" in reply["error"]["reason"], request
 
 
 class TestServerPlumbing:

@@ -6,6 +6,7 @@ for the selected rows) and finish ``done`` with rows but no report.
 
 import pytest
 
+from repro.cluster import HttpClusterClient, HttpGateway
 from repro.errors import ServeError
 from repro.orchestrate import ResultCache, cache_key
 from repro.scenarios import Session
@@ -29,6 +30,12 @@ def server(tmp_path_factory):
     cache = ResultCache(tmp_path_factory.mktemp("subset-cache"))
     with ProfilingServer(port=0, workers=2, cache=cache) as srv:
         yield srv
+
+
+@pytest.fixture(scope="module")
+def gateway(server):
+    with HttpGateway(server) as gw:
+        yield gw
 
 
 @pytest.fixture()
@@ -82,6 +89,20 @@ class TestSubGridSubmit:
                 trial_indices=7,
             )
         assert exc.value.code == "bad_request"
+
+    @pytest.mark.parametrize("client_cls", [ServerClient, HttpClusterClient])
+    def test_either_client_submits_a_sub_grid(
+        self, server, gateway, client_cls
+    ):
+        front = server if client_cls is ServerClient else gateway
+        spec = subset_spec(name=f"subset-{client_cls.__name__}", seed=76)
+        with client_cls(*front.address) as c:
+            ack = c.submit(spec, trial_indices=[2])
+            assert ack["trials"] == 1
+            events = list(c.stream(ack["job_id"]))
+        assert [e["index"] for e in events if e["event"] == "row"] == [0]
+        assert events[-1]["state"] == "done"
+        assert server.queue.get(ack["job_id"]).subset is True
 
     def test_full_submit_is_unchanged(self, client):
         ack = client.submit(subset_spec(name="full-grid", seed=74))

@@ -415,9 +415,11 @@ class TestClusterDoc:
             assert f"`{op}`" in doc, op
 
     def test_http_routes_documented(self):
+        from repro.cluster import ROUTES
+
         doc = self.doc()
-        for route in ("/v1/ping", "/v1/jobs", "/v1/shutdown"):
-            assert route in doc, route
+        for op, (method, path) in ROUTES.items():
+            assert f"| `{method} {path}` | `{op}`" in doc, op
 
     def test_cluster_command_and_flags_in_cli_doc(self):
         cli = (ROOT / "docs" / "cli.md").read_text()
@@ -464,9 +466,12 @@ class TestResilienceDoc:
                 assert f"`{op}`" in doc, op
 
     def test_agents_http_routes_documented(self):
+        from repro.cluster import ROUTES
+
         doc = self.doc()
-        for route in ("/v1/agents", "/v1/agents/join", "/v1/agents/leave"):
-            assert route in doc, route
+        for op, (method, path) in ROUTES.items():
+            if op.startswith("agents_"):
+                assert f"`{method} {path}`" in doc, op
 
     def test_journal_record_types_documented(self):
         from repro.cluster.journal import RECORD_TYPES

@@ -67,3 +67,58 @@ def test_install_wraps_every_layer_of_a_cached_pool_grid(tmp_path):
     assert {span[3] for span in gets} == keys
     assert {span[3] for span in spans["orchestrate.pool_submit"]} == keys
     assert {span[3] for span in spans["scenarios.trial"]} == keys
+
+
+CLIENT_SCRIPT = """
+import sys
+
+from perfbench.tracer import install
+from repro.cluster import HttpClusterClient, HttpGateway
+from repro.scenarios import ScenarioSpec, WorkloadSpec
+from repro.serve import ProfilingServer, ServerClient
+
+tracer = install("bench", sys.argv[1])
+spec = ScenarioSpec(
+    name="tracer-clients",
+    kind="profile",
+    workloads=(WorkloadSpec("stream", n_threads=2, scale=0.02),),
+    machine="small_test_machine",
+    trials=1,
+    seed=5,
+)
+with ProfilingServer(workers=1) as server, HttpGateway(server) as gateway:
+    with ServerClient(*server.address) as client:
+        assert client.run(spec).state == "done"
+    assert HttpClusterClient(*gateway.address).run(spec).state == "done"
+tracer.flush()
+"""
+
+
+def test_install_wraps_both_clients_and_the_server_surface(tmp_path):
+    spans_dir = tmp_path / "spans"
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]),
+    )
+    subprocess.run(
+        [sys.executable, "-c", CLIENT_SCRIPT, str(spans_dir)],
+        check=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    names: dict[str, int] = {}
+    for path in sorted(spans_dir.glob("*.json")):
+        for span in json.loads(path.read_text())["spans"]:
+            names[span[2]] = names.get(span[2], 0) + 1
+
+    for name in (
+        "serve.connect", "serve.client", "serve.client_stream",
+        "serve.dispatch", "serve.dispatch_stream", "serve.call",
+        "cluster.http", "cluster.http_stream",
+    ):
+        assert names.get(name), name
+    # one submit and one results from ServerClient.run; the HTTP
+    # client's ops must not also count as socket-client spans
+    assert names["serve.client"] == 2
+    assert names["cluster.http"] == 2
