@@ -27,6 +27,10 @@ client sees:
 :class:`CacheReplicator` (with :func:`partition_indices`)
     Byte-exact entry movement that makes a cluster rerun a pure cache
     replay on every host.
+:class:`RetryPolicy` / :data:`DEFAULT_POLICY`
+    Re-exported from :mod:`repro.serve`: the attempts, backoff and
+    socket timeouts of every coordinator → agent op, retried through
+    the one loop :meth:`RetryPolicy.call` both clients dial through.
 
 Start a two-host cluster in-process (tests do exactly this)::
 
@@ -53,7 +57,7 @@ from repro.cluster.membership import AGENT_STATES, AgentHandle, Membership
 from repro.cluster.partition import partition_indices, shard_for_key
 from repro.cluster.quota import QuotaPolicy, TokenBucket
 from repro.cluster.replicate import CacheReplicator, decode_entry, encode_entry
-from repro.serve.policy import DEFAULT_POLICY, Deadline, RetryPolicy
+from repro.serve.policy import DEFAULT_POLICY, RetryPolicy
 
 __all__ = [
     "AGENT_STATES",
@@ -62,7 +66,6 @@ __all__ = [
     "Coordinator",
     "DEFAULT_POLICY",
     "DEFAULT_TENANT",
-    "Deadline",
     "HttpClusterClient",
     "HttpGateway",
     "JobJournal",

@@ -40,7 +40,8 @@ journal, re-admits every non-terminal job under its original id, and
 finishes it against the cache — journaled-as-landed indices are cache
 hits, so nothing already paid for is recomputed.  All client-side
 timeouts, retries, and backoff come from one injected
-:class:`~repro.cluster.RetryPolicy`.
+:class:`~repro.cluster.RetryPolicy`: every agent op, replication pulls
+and pushes included, runs on a client built from it.
 
 Determinism: results and the report are assembled positionally in plan
 order regardless of which shard answered first; only the row *event*
@@ -129,13 +130,13 @@ class Coordinator(ServerBase):
         self.machine = machine
         self.max_retries = max_retries
         self.quota = quota
-        #: the one retry/deadline policy every outbound op obeys
+        #: the one retry policy every outbound op obeys
         self.policy = policy or DEFAULT_POLICY
         #: push the full entry set to every agent after a job completes
         #: (the pull into the coordinator's own cache always happens —
         #: the final report is rebuilt from it)
         self.replicate = replicate
-        self.replicator = CacheReplicator(cache, policy=self.policy)
+        self.replicator = CacheReplicator(cache)
         self.membership = Membership(
             agents=agents,
             policy=self.policy,

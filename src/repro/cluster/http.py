@@ -64,7 +64,6 @@ STATUS_BY_CODE = {
     "queue_full": 429,
     "quota_exceeded": 429,
     "connect_failed": 502,
-    "deadline_exceeded": 504,
 }
 
 
@@ -100,12 +99,20 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
         if length == 0:
             return {}
-        if length > protocol.MAX_LINE_BYTES:
+        if not 0 < length <= protocol.MAX_LINE_BYTES:
+            # the body stays unread, so this connection cannot carry
+            # another request
+            self.close_connection = True
             raise ServeError(
-                f"request body over {protocol.MAX_LINE_BYTES} bytes"
+                f"Content-Length {raw!r} is not a byte count in "
+                f"1..{protocol.MAX_LINE_BYTES}"
             )
         try:
             body = protocol.decode_message(self.rfile.read(length))
@@ -120,6 +127,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.send_response(_status_for(response))
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
@@ -285,26 +294,24 @@ class HttpClusterClient(ClientBase):
             finally:
                 conn.close()
 
-        try:
-            return self.policy.call(
-                once, describe=f"{method} {path}", rng=self._rng
-            )
-        except OSError as e:
-            raise ServeError(
-                f"could not reach http://{self.host}:{self.port}{path} "
-                f"after {self.policy.max_attempts} attempt(s): {e}",
-                code="connect_failed",
-                host=self.host,
-                port=self.port,
-                attempts=self.policy.max_attempts,
-            ) from None
+        return self._retried(once, f"http://{self.host}:{self.port}{path}")
 
     def _events(self, job_id: str) -> Iterator[dict[str, Any]]:
         method, path, _ = self._request_line("stream", {"job_id": job_id})
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+
+        def open_stream() -> tuple[HTTPConnection, Any]:
+            conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+            try:
+                conn.request(method, path)
+                return conn, conn.getresponse()
+            except BaseException:
+                conn.close()
+                raise
+
+        conn, response = self._retried(
+            open_stream, f"http://{self.host}:{self.port}{path}"
+        )
         try:
-            conn.request(method, path)
-            response = conn.getresponse()
             if response.status != 200:
                 yield protocol.decode_message(response.read())  # the error
                 return

@@ -30,7 +30,6 @@ import base64
 from repro.errors import ClusterError, ServeError
 from repro.orchestrate import ResultCache
 from repro.serve.client import ServerClient
-from repro.serve.policy import DEFAULT_POLICY, RetryPolicy
 
 
 def encode_entry(pkl: bytes) -> dict:
@@ -51,19 +50,13 @@ class CacheReplicator:
 
     Stateless beyond the local :class:`~repro.orchestrate.ResultCache`;
     the coordinator calls :meth:`pull` with the shard that computed a
-    set of keys and :meth:`push` with everyone else.  ``policy`` is the
-    shared :class:`~repro.serve.RetryPolicy`: its ``deadline_s`` (when
-    set) bounds each whole pull/push pass — a replication sweep over a
-    huge key set raises a structured
-    :class:`~repro.errors.DeadlineExceededError` instead of holding a
-    job's completion hostage to one slow peer.
+    set of keys and :meth:`push` with everyone else.  Timeouts and
+    retries are the passed client's: each entry is one request under
+    its :class:`~repro.serve.RetryPolicy`.
     """
 
-    def __init__(
-        self, cache: ResultCache, policy: RetryPolicy | None = None
-    ) -> None:
+    def __init__(self, cache: ResultCache) -> None:
         self.cache = cache
-        self.policy = policy or DEFAULT_POLICY
 
     # -- pull: remote agent -> local cache ---------------------------------
 
@@ -75,12 +68,10 @@ class CacheReplicator:
         job's ``partial`` state already reports it; replication never
         escalates a known loss into a new failure.
         """
-        deadline = self.policy.deadline()
         pulled = 0
         for key in keys:
             if self.cache.contains(key):
                 continue
-            deadline.check("cache pull", key=key, pulled=pulled)
             try:
                 response = client.request("cache_export", key=key)
             except ServeError as e:
@@ -100,14 +91,12 @@ class CacheReplicator:
         so pushing an entry the agent already holds is harmless — the
         agent answers ``imported=False`` and the coordinator moves on.
         """
-        deadline = self.policy.deadline()
         pushed = 0
         for key in keys:
             try:
                 pkl = self.cache.export_entry(key)
             except KeyError:
                 continue  # lost trial: nothing to publish
-            deadline.check("cache push", key=key, pushed=pushed)
             response = client.request(
                 "cache_import", key=key, **encode_entry(pkl)
             )

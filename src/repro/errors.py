@@ -120,20 +120,6 @@ class ClusterError(ServeError):
     that cannot be reached, replication of a missing cache entry)."""
 
 
-class DeadlineExceededError(ServeError):
-    """An operation's overall wall-clock budget ran out.
-
-    Raised by :class:`~repro.serve.RetryPolicy`-governed operations
-    when the ``deadline_s`` budget is spent before the op succeeds —
-    distinct from attempts-exhausted failures, whose own error (e.g.
-    ``connect_failed``) propagates instead.  Carries ``budget_s`` and
-    ``elapsed_s`` in :attr:`details`.
-    """
-
-    def __init__(self, message: str, **details) -> None:
-        super().__init__(message, code="deadline_exceeded", **details)
-
-
 class AnnotationError(NmoError):
     """Misnested or unknown profiling annotations."""
 

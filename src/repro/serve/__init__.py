@@ -36,9 +36,10 @@ The moving parts:
     frames the same surface as HTTP requests.
 :class:`RetryPolicy`
     The one dataclass governing every client-side timeout, retry
-    budget, full-jitter backoff, and overall deadline — injected into
-    both clients, the cluster coordinator and the cache replicator
-    instead of scattered constants.
+    budget and full-jitter backoff — injected into both clients and
+    the cluster coordinator instead of scattered constants.  Its
+    :meth:`RetryPolicy.call` is the one retry loop both clients dial
+    through.
 
 Start one from the shell with ``python -m repro serve --port 7123
 --workers 4 --cache-dir ~/.cache/repro`` (see ``docs/serving.md``), or
@@ -57,7 +58,7 @@ functions, same cache keys — by ``tests/serve/test_server_e2e.py``.
 """
 
 from repro.serve.client import ClientBase, RunOutcome, ServerClient
-from repro.serve.policy import DEFAULT_POLICY, Deadline, RetryPolicy
+from repro.serve.policy import DEFAULT_POLICY, RetryPolicy
 from repro.serve.protocol import (
     ERROR_CODES,
     MAX_LINE_BYTES,
@@ -78,7 +79,6 @@ from repro.serve.server import ProfilingServer, ServerBase
 
 __all__ = [
     "DEFAULT_POLICY",
-    "Deadline",
     "ClientBase",
     "ERROR_CODES",
     "JOB_STATES",

@@ -27,7 +27,7 @@ import random
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ServeError
 from repro.scenarios.spec import ScenarioSpec
@@ -72,7 +72,7 @@ class ClientBase:
         self.host = host
         self.port = port
         #: the :class:`~repro.serve.RetryPolicy` governing attempts,
-        #: backoff shape, socket timeouts and the overall deadline
+        #: backoff shape and socket timeouts
         self.policy = policy
         self.timeout = policy.op_timeout_s
         self._rng = rng
@@ -92,6 +92,26 @@ class ClientBase:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _retried(self, fn: Callable[[], Any], where: str) -> Any:
+        """``fn`` through :meth:`RetryPolicy.call`; an ``OSError`` that
+        outlives every attempt becomes the structured ``connect_failed``
+        error naming ``host``, ``port``, ``attempts`` and ``elapsed_s``."""
+        started = time.monotonic()
+        try:
+            return self.policy.call(fn, rng=self._rng)
+        except OSError as e:
+            attempts = self.policy.max_attempts
+            elapsed_s = round(time.monotonic() - started, 3)
+            raise ServeError(
+                f"could not reach {where} after {attempts} attempt(s) "
+                f"({elapsed_s}s): {e}",
+                code="connect_failed",
+                host=self.host,
+                port=self.port,
+                attempts=attempts,
+                elapsed_s=elapsed_s,
+            ) from e
 
     @staticmethod
     def _checked(response: dict[str, Any]) -> dict[str, Any]:
@@ -266,61 +286,24 @@ class ServerClient(ClientBase):
     def connect(self) -> "ServerClient":
         """Open the socket (lazy: request methods call this on demand).
 
-        Each attempt is bounded by the policy's ``connect_timeout_s``
-        and failures are retried with capped, full-jitter exponential
-        backoff.  Without a ``deadline_s`` the loop is attempts-bounded
-        (``max_attempts``); with one, it keeps retrying until the
-        wall-clock budget is spent instead — attempts become unbounded
-        and every sleep and dial is clipped to the remaining budget.
-        Exhausting either raises a structured
-        :class:`~repro.errors.ServeError` with ``code="connect_failed"``
-        carrying host/port/attempts/``elapsed_s`` instead of blocking
-        indefinitely on a dead host.
+        Each dial is bounded by the policy's ``connect_timeout_s`` and
+        retried through :meth:`~repro.serve.RetryPolicy.call`; a host
+        that stays unreachable raises the structured ``connect_failed``
+        error instead of blocking.
         """
         if self._sock is not None:
             return self
-        policy = self.policy
-        deadline = policy.deadline()
-        last: Exception | None = None
-        attempt = 0
-        while True:
-            if attempt:
-                pause = policy.backoff_s(attempt - 1, self._rng)
-                remaining = deadline.remaining_s()
-                if remaining is not None and pause >= remaining:
-                    break  # sleeping would outlive the budget
-                time.sleep(pause)
-            if deadline.expired:
-                break
-            attempt += 1
-            try:
-                self._sock = socket.create_connection(
-                    (self.host, self.port),
-                    timeout=deadline.cap(policy.connect_timeout_s),
-                )
-            except OSError as e:
-                last = e
-                if policy.deadline_s is None and attempt >= policy.max_attempts:
-                    break
-                continue
-            self._sock.settimeout(policy.op_timeout_s)
-            self._rfile = self._sock.makefile("rb")
-            self._wfile = self._sock.makefile("wb")
-            return self
-        details: dict[str, Any] = {
-            "host": self.host,
-            "port": self.port,
-            "attempts": attempt,
-            "elapsed_s": round(deadline.elapsed_s, 3),
-        }
-        if policy.deadline_s is not None:
-            details["deadline_s"] = policy.deadline_s
-        raise ServeError(
-            f"could not connect to {self.host}:{self.port} after "
-            f"{attempt} attempt(s) ({details['elapsed_s']}s): {last}",
-            code="connect_failed",
-            **details,
+        self._sock = self._retried(
+            lambda: socket.create_connection(
+                (self.host, self.port),
+                timeout=self.policy.connect_timeout_s,
+            ),
+            f"{self.host}:{self.port}",
         )
+        self._sock.settimeout(self.policy.op_timeout_s)
+        self._rfile = self._sock.makefile("rb")
+        self._wfile = self._sock.makefile("wb")
+        return self
 
     def close(self) -> None:
         """Close the connection; idempotent."""
@@ -337,18 +320,29 @@ class ServerClient(ClientBase):
                 pass
         self._sock = self._rfile = self._wfile = None
 
-    def _read(self) -> dict[str, Any]:
-        msg = protocol.read_message(self._rfile)
-        if msg is None:
-            raise ServeError("server closed the connection")
-        return msg
+    def _exchange(self, request: dict | None = None) -> dict[str, Any]:
+        """Write ``request`` (if any), then read one message.
+
+        A failed exchange closes the connection: a socket file that
+        timed out (or broke) stays unusable, so the next request must
+        reconnect instead of failing on the dead file.
+        """
+        try:
+            if request is not None:
+                protocol.write_message(self._wfile, request)
+            msg = protocol.read_message(self._rfile)
+            if msg is None:
+                raise ServeError("server closed the connection")
+            return msg
+        except BaseException:
+            self.close()
+            raise
 
     def _call(self, op: str, params: dict[str, Any]) -> dict[str, Any]:
         self.connect()
-        protocol.write_message(self._wfile, {"op": op, **params})
-        return self._read()
+        return self._exchange({"op": op, **params})
 
     def _events(self, job_id: str) -> Iterator[dict[str, Any]]:
         yield self._call("stream", {"job_id": job_id})
         while True:
-            yield self._read()
+            yield self._exchange()

@@ -1,4 +1,4 @@
-"""The unified retry/deadline policy for every client-side network op.
+"""The one retry policy for every client-side network op.
 
 Before this module, timeout and retry behavior was a scatter of
 hardcoded constants — a 60-second default request timeout here, a
@@ -6,27 +6,21 @@ hardcoded constants — a 60-second default request timeout here, a
 backoff without jitter or a cap in :meth:`ServerClient.connect`.  One
 :class:`RetryPolicy` now travels through
 :class:`~repro.serve.ServerClient`,
-:class:`~repro.cluster.Coordinator`,
-:class:`~repro.cluster.HttpClusterClient`, and
-:class:`~repro.cluster.CacheReplicator`, so a test can tighten every
+:class:`~repro.cluster.Coordinator` and
+:class:`~repro.cluster.HttpClusterClient`, so a test can tighten every
 timeout deterministically by injecting one object, and an operator can
 loosen them cluster-wide the same way.
 
-Two failure shapes come out of a policy-governed operation:
-
-* attempts exhausted — the op's own error propagates (a structured
-  ``connect_failed`` for connects, the server's error for requests);
-* the overall :attr:`~RetryPolicy.deadline_s` expired — a structured
-  :class:`~repro.errors.DeadlineExceededError` (protocol code
-  ``deadline_exceeded``) carrying ``elapsed_s``/``budget_s``, so a
-  caller can always distinguish "it kept failing" from "we ran out of
-  time".
+:meth:`RetryPolicy.call` is the one attempt/backoff loop: both clients
+dial through it, and an ``OSError`` that outlives every attempt reaches
+the caller as the structured ``connect_failed`` error (host, port,
+attempts, ``elapsed_s``), never as a hang.
 
 Backoff uses *full jitter*: retry ``k`` sleeps a uniform random
 duration in ``[0, min(backoff_cap_s, base_backoff_s * 2**k)]``, which
 avoids synchronized retry storms when many clients lose the same
-coordinator at once.  The RNG, clock, and sleep are injectable so
-tests assert exact schedules without wall-clock time.
+coordinator at once.  The RNG and sleep are injectable so tests assert
+exact schedules without wall-clock time.
 """
 
 from __future__ import annotations
@@ -37,63 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import DeadlineExceededError
-
-__all__ = ["DEFAULT_POLICY", "Deadline", "RetryPolicy"]
-
-
-class Deadline:
-    """One operation's wall-clock budget, started at construction.
-
-    ``budget_s=None`` means unbounded: :attr:`expired` is always False
-    and :meth:`remaining_s` returns ``None``.  The clock is injectable
-    (defaults to :func:`time.monotonic`).
-    """
-
-    def __init__(
-        self,
-        budget_s: float | None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.budget_s = budget_s
-        self._clock = clock
-        self._started = clock()
-
-    @property
-    def elapsed_s(self) -> float:
-        """Seconds since the deadline started."""
-        return self._clock() - self._started
-
-    def remaining_s(self) -> float | None:
-        """Seconds left in the budget (``None`` when unbounded)."""
-        if self.budget_s is None:
-            return None
-        return max(0.0, self.budget_s - self.elapsed_s)
-
-    @property
-    def expired(self) -> bool:
-        """True once the budget is spent (never, when unbounded)."""
-        return self.budget_s is not None and self.elapsed_s >= self.budget_s
-
-    def check(self, what: str = "operation", **details: Any) -> None:
-        """Raise :class:`DeadlineExceededError` if the budget is spent."""
-        if self.expired:
-            raise DeadlineExceededError(
-                f"{what} exceeded its {self.budget_s:g}s deadline "
-                f"({self.elapsed_s:.3f}s elapsed)",
-                budget_s=self.budget_s,
-                elapsed_s=round(self.elapsed_s, 3),
-                **details,
-            )
-
-    def cap(self, timeout: float | None) -> float | None:
-        """``timeout`` clipped to the remaining budget (for sockets)."""
-        remaining = self.remaining_s()
-        if remaining is None:
-            return timeout
-        if timeout is None:
-            return remaining
-        return min(timeout, remaining)
+__all__ = ["DEFAULT_POLICY", "RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -101,11 +39,11 @@ class RetryPolicy:
     """How many times, how long, and how patiently to try a network op.
 
     One frozen dataclass holds every knob the serving stack's clients
-    need: attempt count, backoff shape (base, cap, full jitter),
-    per-op and per-connect socket timeouts, and an optional overall
-    wall-clock deadline.  Derive variants with :meth:`replace` — e.g.
-    the membership prober uses ``policy.replace(max_attempts=1)``
-    because its own probe cadence *is* the retry loop.
+    need: attempt count, backoff shape (base, cap, full jitter), and
+    per-op and per-connect socket timeouts.  Derive variants with
+    :meth:`replace` — e.g. the membership prober uses
+    ``policy.replace(max_attempts=1)`` because its own probe cadence
+    *is* the retry loop.
     """
 
     #: total attempts per operation (>= 1; 1 = fail fast, no retry)
@@ -120,8 +58,6 @@ class RetryPolicy:
     op_timeout_s: float | None = 60.0
     #: per-TCP-connect ceiling (bounds each dial, not the whole loop)
     connect_timeout_s: float = 5.0
-    #: overall wall-clock budget across all attempts (None = unbounded)
-    deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -133,10 +69,6 @@ class RetryPolicy:
         if self.connect_timeout_s <= 0:
             raise ValueError(
                 f"connect_timeout_s must be > 0, got {self.connect_timeout_s}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(
-                f"deadline_s must be > 0 or None, got {self.deadline_s}"
             )
 
     # -- derivation --------------------------------------------------------
@@ -151,7 +83,7 @@ class RetryPolicy:
         """The exponential upper bound for retry ``retry`` (0-based)."""
         if self.base_backoff_s <= 0:
             return 0.0
-        # deadline-driven loops can reach huge retry counts; clamp the
+        # a huge max_attempts reaches huge retry counts; clamp the
         # exponent so 2**retry never overflows float conversion
         return min(
             self.backoff_cap_s,
@@ -169,62 +101,32 @@ class RetryPolicy:
 
     # -- execution ---------------------------------------------------------
 
-    def deadline(
-        self, clock: Callable[[], float] = time.monotonic
-    ) -> Deadline:
-        """A fresh :class:`Deadline` carrying this policy's budget."""
-        return Deadline(self.deadline_s, clock=clock)
-
     def call(
         self,
         fn: Callable[[], Any],
         *,
-        describe: str = "operation",
-        retry_on: tuple = (OSError, ConnectionError),
         rng: random.Random | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], None] | None = None,
     ) -> Any:
-        """Run ``fn`` under this policy: bounded retries, overall deadline.
+        """Run ``fn`` under this policy: at most :attr:`max_attempts` tries.
 
-        Exceptions in ``retry_on`` are retried with jittered backoff
-        until :attr:`max_attempts` is spent (the last one re-raises) or
-        the :attr:`deadline_s` budget expires (a structured
-        :class:`~repro.errors.DeadlineExceededError` raises instead,
-        chaining the last failure).  Any other exception propagates
-        immediately — server-side errors are not transient.
+        An ``OSError`` (refused, reset, timed out) is retried after a
+        (jittered) backoff until :attr:`max_attempts` is spent; the last
+        one then re-raises.  Any other exception propagates immediately
+        — server-side errors are not transient.  ``sleep`` defaults to
+        :func:`time.sleep`, looked up at call time.
         """
-        deadline = self.deadline(clock)
-        last: Exception | None = None
+        sleep = sleep or time.sleep
         for attempt in range(self.max_attempts):
             if attempt:
-                pause = self.backoff_s(attempt - 1, rng)
-                remaining = deadline.remaining_s()
-                if remaining is not None and pause >= remaining:
-                    # sleeping would outlive the budget: give up now,
-                    # and say it was the deadline that decided
-                    raise DeadlineExceededError(
-                        f"{describe} gave up: the {pause:.3f}s backoff "
-                        f"before attempt {attempt + 1} exceeds the "
-                        f"remaining {remaining:.3f}s of its "
-                        f"{self.deadline_s:g}s deadline",
-                        budget_s=self.deadline_s,
-                        elapsed_s=round(deadline.elapsed_s, 3),
-                        attempts=attempt,
-                    ) from last
-                sleep(pause)
-            try:
-                deadline.check(describe, attempts=attempt + 1)
-            except DeadlineExceededError as e:
-                raise e from last
+                sleep(self.backoff_s(attempt - 1, rng))
             try:
                 return fn()
-            except retry_on as e:
-                last = e
-        assert last is not None
-        raise last
+            except OSError:
+                if attempt + 1 == self.max_attempts:
+                    raise
 
 
 #: the stack-wide default: 3 attempts, 0.1s..2s full-jitter backoff,
-#: 60s per op, 5s per connect, no overall deadline
+#: 60s per op, 5s per connect
 DEFAULT_POLICY = RetryPolicy()

@@ -41,7 +41,6 @@ ERROR_CODES = (
     "quota_exceeded",  # admission rejected: the tenant's token bucket is dry
     "protocol_mismatch",  # peer speaks a different PROTOCOL_VERSION
     "connect_failed",  # client could not reach the server (retries exhausted)
-    "deadline_exceeded",  # the op's overall RetryPolicy deadline ran out
 )
 
 #: hard per-line ceiling (a full scenario spec is ~1 KiB; 8 MiB leaves

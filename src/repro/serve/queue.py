@@ -12,7 +12,8 @@ that is rejected immediately with a structured
 see and act on, never a silent hang.  Priorities are honoured at
 dispatch time by the scheduler (higher first, FIFO within a class);
 terminal jobs stay retrievable for ``results`` until evicted by
-:meth:`JobQueue.prune`.
+:meth:`JobQueue.prune`, which every admission runs: a long-lived
+service keeps its newest 256 terminal jobs, not every job it ever ran.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class JobQueue:
     ) -> Job:
         """Admit a job or raise :class:`QueueFullError` with the facts.
 
+        Admission also runs :meth:`prune`, so terminal jobs beyond the
+        newest 256 stop holding their rows and events.
+
         ``job_id`` pins the identity instead of minting one — the
         coordinator's journal resume re-admits a crashed-through job
         under its original id so clients polling it keep working.
@@ -96,6 +100,7 @@ class JobQueue:
                 trial_specs, keys, job_id=job_id, seq=seq, spec=spec,
                 priority=int(priority), subset=subset,
             )
+            self.prune()
             self._jobs[job_id] = job
             self.changed.notify_all()
             return job
@@ -136,6 +141,8 @@ class JobQueue:
     def prune(self, keep: int = 256) -> int:
         """Drop the oldest terminal jobs beyond ``keep``; returns dropped."""
         with self._lock:
+            if len(self._jobs) <= keep:
+                return 0
             done = sorted(
                 (j for j in self._jobs.values() if j.is_terminal()),
                 key=lambda j: j.seq,

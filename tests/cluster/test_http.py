@@ -135,6 +135,23 @@ class TestHttpErrors:
         conn.close()
         assert response.status == 400
 
+    @pytest.mark.parametrize("length", ["twelve", "-1"])
+    def test_bad_content_length_is_400(self, gateway, length):
+        # a non-integer length used to escape as a bare ValueError (an
+        # empty reply); a negative one blocked the handler on read(-1)
+        conn = HTTPConnection(*gateway.address, timeout=5)
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        body = json.loads(response.read())
+        conn.close()
+        assert response.status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "Content-Length" in body["error"]["reason"]
+        # the body was never read, so the connection cannot be reused
+        assert response.getheader("Connection") == "close"
+
     def test_stream_of_unknown_job_is_structured(self, client):
         with pytest.raises(ServeError) as exc:
             list(client.stream("job-999-deadbeef"))

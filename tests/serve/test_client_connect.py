@@ -8,9 +8,13 @@ rejected with ``protocol_mismatch`` in both directions.
 
 import random
 import socket
+import socketserver
+import threading
+import time
 
 import pytest
 
+from repro.cluster import HttpClusterClient
 from repro.errors import ServeError
 from repro.serve import ProfilingServer, RetryPolicy, ServerClient, protocol
 
@@ -78,6 +82,29 @@ class TestConnectRetry:
         assert exc.value.details["elapsed_s"] >= 0.0
 
 
+@pytest.mark.parametrize("client_cls", [ServerClient, HttpClusterClient])
+@pytest.mark.parametrize("op", ["ping", "stream"])
+def test_both_clients_report_the_same_connect_failed(client_cls, op):
+    # one helper turns spent attempts into the error on either framing
+    port = closed_port()
+    client = client_cls(
+        "127.0.0.1", port,
+        policy=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+    )
+    with pytest.raises(ServeError) as exc:
+        if op == "ping":
+            client.ping()
+        else:
+            list(client.stream("job-0-none"))
+    err = exc.value
+    assert err.code == "connect_failed"
+    assert set(err.details) == {"host", "port", "attempts", "elapsed_s"}
+    assert err.details["host"] == "127.0.0.1"
+    assert err.details["port"] == port
+    assert err.details["attempts"] == 2
+    assert 0.0 <= err.details["elapsed_s"] < 5.0
+
+
 class TestPolicyConnect:
     def test_full_jitter_draws_below_the_exponential_bounds(
         self, monkeypatch
@@ -109,23 +136,6 @@ class TestPolicyConnect:
         with pytest.raises(ServeError):
             client.connect()
         assert sleeps == pytest.approx([0.1, 0.15, 0.15, 0.15, 0.15])
-
-    def test_deadline_overrides_the_attempt_budget(self, monkeypatch):
-        # with a deadline, attempts are unbounded: a 1-attempt policy
-        # keeps dialing until the wall clock says stop
-        monkeypatch.setattr("repro.serve.client.time.sleep", lambda _s: None)
-        policy = RetryPolicy(
-            max_attempts=1, base_backoff_s=0.0, jitter=False,
-            deadline_s=0.3, connect_timeout_s=0.05,
-        )
-        client = ServerClient("127.0.0.1", closed_port(), policy=policy)
-        with pytest.raises(ServeError) as exc:
-            client.connect()
-        err = exc.value
-        assert err.code == "connect_failed"
-        assert err.details["attempts"] > 1
-        assert err.details["deadline_s"] == 0.3
-        assert err.details["elapsed_s"] >= 0.3
 
     def test_policy_sets_socket_timeouts(self, server):
         policy = RetryPolicy(op_timeout_s=12.5, connect_timeout_s=1.25)
@@ -175,6 +185,41 @@ class TestPolicyConnect:
         with pytest.raises(ServeError):
             client.connect()
         assert seen == [1.5, 1.5]
+
+
+class TestReconnect:
+    def test_a_timed_out_request_drops_the_connection(self):
+        # the first request is answered late: the client times out, and
+        # its next request must reconnect rather than reuse the socket
+        # file the timeout left unreadable
+        requests = []
+
+        class LateHandler(socketserver.StreamRequestHandler):
+            def handle(self):
+                try:
+                    while protocol.read_message(self.rfile) is not None:
+                        requests.append(True)
+                        if len(requests) == 1:
+                            time.sleep(0.5)
+                        protocol.write_message(
+                            self.wfile, protocol.ok_response(workers=1)
+                        )
+                except OSError:
+                    pass  # the client dropped the late connection
+
+        class LateServer(socketserver.ThreadingTCPServer):
+            daemon_threads = True
+
+        with LateServer(("127.0.0.1", 0), LateHandler) as late:
+            threading.Thread(target=late.serve_forever, daemon=True).start()
+            client = ServerClient(*late.server_address[:2], timeout=0.1)
+            try:
+                with pytest.raises(OSError):
+                    client.ping()
+                assert client.ping()["workers"] == 1
+            finally:
+                client.close()
+                late.shutdown()
 
 
 class TestHandshake:

@@ -1,31 +1,18 @@
-"""Unit tests for the unified RetryPolicy / Deadline.
+"""Unit tests for the unified RetryPolicy.
 
 The policy is the one object that decides how every client-side
 network op times out, backs off, and gives up — these tests pin its
-arithmetic (exponential bounds, cap, full jitter), its deadline
-semantics (structured ``deadline_exceeded``, remaining-budget
-clipping), and the retry runner's interaction between attempt budgets
-and wall-clock budgets, all with injected clocks/rngs/sleeps so
-nothing here waits on real time.
+arithmetic (exponential bounds, cap, full jitter) and its retry
+runner's attempt budget, all with injected rngs/sleeps so nothing
+here waits on real time.
 """
 
 import random
 
 import pytest
 
-from repro.errors import DeadlineExceededError, ServeError
-from repro.serve import DEFAULT_POLICY, Deadline, RetryPolicy
-
-
-class FakeClock:
-    def __init__(self, start=100.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
+from repro.errors import ServeError
+from repro.serve import DEFAULT_POLICY, RetryPolicy
 
 
 class TestBackoff:
@@ -66,42 +53,7 @@ class TestBackoff:
         with pytest.raises(ValueError):
             RetryPolicy(base_backoff_s=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=0)
-        with pytest.raises(ValueError):
             RetryPolicy(connect_timeout_s=0)
-
-
-class TestDeadline:
-    def test_unbounded_never_expires(self):
-        clock = FakeClock()
-        deadline = Deadline(None, clock=clock)
-        clock.advance(1e9)
-        assert not deadline.expired
-        assert deadline.remaining_s() is None
-        deadline.check()  # no raise
-
-    def test_expiry_raises_structured_error(self):
-        clock = FakeClock()
-        deadline = Deadline(2.0, clock=clock)
-        clock.advance(1.0)
-        deadline.check()
-        clock.advance(1.5)
-        with pytest.raises(DeadlineExceededError) as exc:
-            deadline.check("the op")
-        err = exc.value
-        assert err.code == "deadline_exceeded"
-        assert err.details["budget_s"] == 2.0
-        assert err.details["elapsed_s"] == pytest.approx(2.5)
-        assert isinstance(err, ServeError)  # protocol-mappable
-
-    def test_cap_clips_a_socket_timeout_to_the_remaining_budget(self):
-        clock = FakeClock()
-        deadline = Deadline(10.0, clock=clock)
-        assert deadline.cap(5.0) == 5.0
-        clock.advance(8.0)
-        assert deadline.cap(5.0) == pytest.approx(2.0)
-        assert Deadline(None, clock=clock).cap(5.0) == 5.0
-        assert deadline.cap(None) == pytest.approx(2.0)
 
 
 class TestCallRunner:
@@ -149,54 +101,8 @@ class TestCallRunner:
             )
         assert calls["n"] == 1
 
-    def test_deadline_cuts_retries_short_with_structured_error(self):
-        clock = FakeClock()
-
-        def refuse_slowly():
-            clock.advance(3.0)
-            raise ConnectionRefusedError("down")
-
-        policy = RetryPolicy(
-            max_attempts=100, jitter=False, base_backoff_s=0.0,
-            deadline_s=5.0,
-        )
-        with pytest.raises(DeadlineExceededError) as exc:
-            policy.call(refuse_slowly, clock=clock, sleep=lambda _d: None)
-        err = exc.value
-        assert err.details["budget_s"] == 5.0
-        # the deadline error chains the last transient failure
-        assert isinstance(err.__cause__, ConnectionRefusedError)
-
-    def test_deadline_refuses_a_sleep_that_would_overshoot(self):
-        clock = FakeClock()
-        slept = []
-
-        def refuse():
-            clock.advance(0.9)
-            raise ConnectionRefusedError("down")
-
-        policy = RetryPolicy(
-            max_attempts=10, jitter=False, base_backoff_s=10.0,
-            deadline_s=1.0,
-        )
-        with pytest.raises(DeadlineExceededError):
-            policy.call(refuse, clock=clock, sleep=slept.append)
-        assert slept == []  # a 10s backoff never fit the 0.1s remainder
-
 
 class TestProtocolIntegration:
-    def test_deadline_exceeded_is_a_protocol_error_code(self):
-        from repro.serve import ERROR_CODES, error_response
-
-        assert "deadline_exceeded" in ERROR_CODES
-        response = error_response("deadline_exceeded", "too slow", budget_s=1)
-        assert response["error"]["code"] == "deadline_exceeded"
-
-    def test_deadline_exceeded_maps_to_http_504(self):
-        from repro.cluster import STATUS_BY_CODE
-
-        assert STATUS_BY_CODE["deadline_exceeded"] == 504
-
     def test_cluster_reexport_is_the_same_object(self):
         from repro.cluster import RetryPolicy as ClusterRetryPolicy
 

@@ -149,3 +149,24 @@ class TestLookupAndOrder:
         assert queue.prune(keep=2) == 3
         kept = [j.id for j in queue.jobs()]
         assert kept == [jobs[3].id, jobs[4].id]
+
+    def test_admission_bounds_the_registry(self):
+        # a long-lived server settles jobs forever: admission keeps the
+        # newest 256 terminal jobs and never drops an active one
+        queue = JobQueue(limit=4)
+        spec = smoke_spec()
+        trial_specs = Session().plan(spec)
+        keys = [
+            cache_key(t.experiment, t.config, t.seed) for t in trial_specs
+        ]
+        active = queue.submit(spec, trial_specs, keys)  # oldest, never ends
+        settled = []
+        for _ in range(300):
+            job = queue.submit(spec, trial_specs, keys)
+            job.set_state("done")
+            settled.append(job)
+            assert queue.get(active.id) is active
+        latest = queue.submit(spec, trial_specs, keys)
+        terminal = [j.id for j in queue.jobs() if j.is_terminal()]
+        assert terminal == [j.id for j in settled[-256:]]
+        assert [j.id for j in queue.runnable()] == [active.id, latest.id]
