@@ -17,8 +17,8 @@ Shape claims checked:
 
 from conftest import orchestration_opts, save_report
 
-from repro.evalharness.report import render_colo
 from repro.scenarios import Session, colo_interference_spec
+from repro.scenarios.report import render_colo
 
 
 def run():

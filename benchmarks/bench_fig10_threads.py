@@ -10,8 +10,8 @@ Paper claims checked:
 
 from conftest import orchestration_opts, save_report
 
-from repro.evalharness.report import render_fig10_fig11
 from repro.scenarios import Session, fig10_spec
+from repro.scenarios.report import render_fig10_fig11
 
 THREADS = (1, 2, 4, 8, 16, 32, 48, 64, 96, 128)
 

@@ -11,8 +11,8 @@ import pytest
 from conftest import orchestration_opts, save_report
 
 from repro.analysis.accuracy import linearity_check
-from repro.evalharness.report import render_fig7
 from repro.scenarios import Session, fig7_spec
+from repro.scenarios.report import render_fig7
 
 PERIODS = (512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072)
 TRIALS = 5

@@ -11,8 +11,8 @@ Paper claims checked:
 import numpy as np
 from conftest import orchestration_opts, save_report
 
-from repro.evalharness.report import render_fig8
 from repro.scenarios import Session, fig8_spec
+from repro.scenarios.report import render_fig8
 
 PERIODS = (1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000)
 TRIALS = 5

@@ -11,8 +11,8 @@ Paper claims checked:
 import pytest
 from conftest import orchestration_opts, save_report
 
-from repro.evalharness.report import render_fig9
 from repro.scenarios import FIG9_AUX_PAGES, Session, fig9_spec
+from repro.scenarios.report import render_fig9
 
 
 def run():

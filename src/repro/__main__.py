@@ -30,11 +30,6 @@ from repro.evalharness import (
     fig3_bandwidth,
     render_bandwidth,
     render_capacity,
-    render_colo,
-    render_fig7,
-    render_fig8,
-    render_fig9,
-    render_fig10_fig11,
     table1_env_defaults,
     table2_machine_spec,
 )
@@ -50,6 +45,13 @@ from repro.scenarios import (
     fig9_spec,
     fig10_spec,
     load_scenario,
+)
+from repro.scenarios.report import (
+    render_colo,
+    render_fig7,
+    render_fig8,
+    render_fig9,
+    render_fig10_fig11,
 )
 
 
@@ -309,22 +311,6 @@ COMMANDS: dict[str, tuple] = {
     ),
     "cache": (_cache_cmd, "result-cache maintenance: `cache stats` / `cache clear`"),
 }
-
-#: commands that are not paper exhibits (maintenance / scenario plumbing)
-UTILITY_COMMANDS = ("cache", "cluster", "run", "scenarios", "serve")
-
-#: the experiment subset (no maintenance commands) — kept for tests and
-#: backwards compatibility with the pre-orchestration CLI
-EXPERIMENTS = {
-    name: fn
-    for name, (fn, _desc) in COMMANDS.items()
-    if name not in UTILITY_COMMANDS
-}
-
-#: exhibits that accept --workers / --cache
-PARALLEL_EXPERIMENTS = (
-    "fig7", "fig8", "fig9", "fig10", "fig11", "colo_interference"
-)
 
 #: commands whose ``action`` positional is required (and what it means)
 ACTION_COMMANDS = {

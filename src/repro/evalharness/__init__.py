@@ -1,4 +1,8 @@
-"""Evaluation harness: Tables I-II, Figs. 2-6 and the exhibit renderers."""
+"""Evaluation harness: Tables I-II, Figs. 2-6 and the Fig. 2-3 renderers.
+
+The sweep and co-location exhibits (Figs. 7-11, colo) are
+:mod:`repro.scenarios` presets, rendered by :mod:`repro.scenarios.report`.
+"""
 
 from repro.evalharness.experiments import (
     fig2_capacity,
@@ -9,21 +13,9 @@ from repro.evalharness.experiments import (
     table1_env_defaults,
     table2_machine_spec,
 )
-from repro.evalharness.report import (
-    render_bandwidth,
-    render_capacity,
-    render_colo,
-    render_fig7,
-    render_fig8,
-    render_fig9,
-    render_fig10_fig11,
-    render_sweep_table,
-)
-from repro.evalharness.sweep import SweepResult, crossover, sweep
+from repro.evalharness.report import render_bandwidth, render_capacity
 
 __all__ = [
-    "SweepResult",
-    "crossover",
     "fig2_capacity",
     "fig3_bandwidth",
     "fig4_stream_regions",
@@ -31,13 +23,6 @@ __all__ = [
     "fig6_cfd_32_threads",
     "render_bandwidth",
     "render_capacity",
-    "render_colo",
-    "render_fig7",
-    "render_fig8",
-    "render_fig9",
-    "render_fig10_fig11",
-    "render_sweep_table",
-    "sweep",
     "table1_env_defaults",
     "table2_machine_spec",
 ]

@@ -2,7 +2,7 @@
 
 Every function regenerates the data behind one exhibit of the paper's
 evaluation (§V-§VII) on the simulated Ampere Altra Max and returns plain
-dict/array results that the benches print and EXPERIMENTS.md records.
+dict/array results that the benches print.
 
 The sweep-style exhibits (figs. 7-11, colo) have no entry point here:
 they are the :mod:`repro.scenarios` presets, run as

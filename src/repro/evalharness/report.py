@@ -3,24 +3,15 @@
 Turns experiment outputs into the same rows/series the paper reports,
 as aligned text tables and ASCII charts.
 
-The sweep/colo renderers live in :mod:`repro.scenarios.report` (the
-declarative scenario layer renders through the same code path) and are
-re-exported here for compatibility; this module keeps the temporal
-exhibits (figs. 2-3) that have no scenario kind.
+The sweep/colo renderers live in :mod:`repro.scenarios.report`, beside
+the scenario kinds they render; this module keeps the temporal exhibits
+(figs. 2-3) that have no scenario kind.
 """
 
 from __future__ import annotations
 
 from repro.analysis.plotting import line_plot
 from repro.machine.spec import GiB
-from repro.scenarios.report import (  # noqa: F401 — compatibility re-exports
-    render_colo,
-    render_fig7,
-    render_fig8,
-    render_fig9,
-    render_fig10_fig11,
-    render_sweep_table,
-)
 
 
 def render_capacity(results: dict[str, dict]) -> str:

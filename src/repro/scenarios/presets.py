@@ -1,10 +1,10 @@
 """Named scenario presets: the paper exhibits as ScenarioSpec builders.
 
 Each ``*_spec`` function builds the declarative equivalent of one
-legacy ``evalharness`` entry point, with the same defaults; the legacy
-functions are now shims over these.  :data:`SCENARIO_PRESETS` is the
-registry behind ``python -m repro scenarios list`` and lets
-``python -m repro run fig8`` resolve a name instead of a JSON file.
+legacy ``evalharness`` entry point, with the same defaults.
+:data:`SCENARIO_PRESETS` is the registry behind
+``python -m repro scenarios list`` and lets ``python -m repro run fig8``
+resolve a name instead of a JSON file.
 """
 
 from __future__ import annotations

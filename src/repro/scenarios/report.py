@@ -1,12 +1,11 @@
 """Rendering for scenario results.
 
 The figure-style renderers moved here from ``repro.evalharness.report``
-(which re-exports them for compatibility) so the declarative
-:class:`~repro.scenarios.session.Session` and the legacy entry points
-format results through one code path.  :func:`render_results` picks the
-renderer: a scenario *named* after a paper exhibit keeps that exhibit's
-exact chart/table layout; anything else falls back to its kind's
-generic rendering.
+so the declarative :class:`~repro.scenarios.session.Session` and the
+figure commands format results through one code path.
+:func:`render_results` picks the renderer: a scenario *named* after a
+paper exhibit keeps that exhibit's exact chart/table layout; anything
+else falls back to its kind's generic rendering.
 """
 
 from __future__ import annotations

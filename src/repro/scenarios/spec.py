@@ -13,7 +13,9 @@ The spec is deliberately *dumb*: it holds no machinery, only enough
 structure for :class:`~repro.scenarios.session.Session` to plan the
 trial grid.  Validation happens eagerly at construction so a bad
 scenario file fails at load time, with the workload registry's
-"known: ..." error for unknown workload names.
+"known: ..." error for unknown workload names.  The schema is declared
+once: every block shares one dataclass-driven JSON codec, and each
+kind's shape is one :data:`KIND_RULES` row.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 from repro.errors import ScenarioError
 from repro.machine.spec import (
@@ -38,19 +40,6 @@ from repro.machine.tiers import PLACEMENT_POLICIES
 from repro.nmo.env import NmoMode, NmoSettings
 from repro.spe.strategies import STRATEGY_NAMES
 from repro.workloads.registry import get_workload_class
-
-#: scenario kinds a Session knows how to plan
-KINDS = (
-    "profile", "period_sweep", "aux_sweep", "thread_sweep", "colocation",
-    "tiering", "sampling_accuracy",
-)
-
-#: sweepable axis parameters, per kind
-AXIS_PARAMS = {
-    "period_sweep": "period",
-    "aux_sweep": "aux_pages",
-    "thread_sweep": "threads",
-}
 
 #: machine preset names a spec may reference (JSON stays portable)
 MACHINE_PRESETS: dict[str, Callable[[], MachineSpec]] = {
@@ -67,8 +56,51 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _check_keys(
+    d: dict, required: set[str], allowed: set[str], what: str
+) -> None:
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{what} block must be a JSON object, got {d!r}")
+    missing = required - set(d)
+    _require(not missing, f"{what} block missing keys: {sorted(missing)}")
+    unknown = set(d) - allowed
+    _require(not unknown, f"{what} block has unknown keys: {sorted(unknown)}")
+
+
+class _Block:
+    """The JSON codec every spec block shares, driven by its dataclass
+    fields: ``to_dict`` emits each field (tuples as lists), and
+    ``from_dict`` accepts exactly the field names, requires those
+    without a default and leaves coercion to the block's
+    ``__post_init__``."""
+
+    #: the block's name in key-check errors
+    _what: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            out[f.name] = value
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        fields = dataclasses.fields(cls)
+        required = {
+            f.name for f in fields
+            if f.default is MISSING and f.default_factory is MISSING
+        }
+        _check_keys(d, required, {f.name for f in fields}, cls._what)
+        return cls(**d)
+
+
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Block):
     """One workload by registry name plus its sizing knobs.
 
     ``scale=None`` means "use the kind's default" (the per-workload
@@ -77,70 +109,50 @@ class WorkloadSpec:
     explicit scale.
     """
 
+    _what: ClassVar[str] = "workload"
+
     name: str
     n_threads: int = 32
     scale: float | None = None
     kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_threads", int(self.n_threads))
         get_workload_class(self.name)  # unknown names raise "known: ..."
         _require(self.n_threads >= 1, "workload needs at least one thread")
         if self.scale is not None:
             _require(self.scale > 0, "workload scale must be positive")
             object.__setattr__(self, "scale", float(self.scale))
+        kwargs = self.kwargs or {}  # JSON null loads as no kwargs
         _require(
-            isinstance(self.kwargs, dict),
-            "workload kwargs must be a JSON object",
+            isinstance(kwargs, dict), "workload kwargs must be a JSON object"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_threads": self.n_threads,
-            "scale": self.scale,
-            "kwargs": dict(self.kwargs),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorkloadSpec":
-        _check_keys(d, {"name"}, {"n_threads", "scale", "kwargs"}, "workload")
-        return cls(
-            name=d["name"],
-            n_threads=int(d.get("n_threads", 32)),
-            scale=d.get("scale"),
-            kwargs=dict(d.get("kwargs") or {}),
-        )
+        object.__setattr__(self, "kwargs", dict(kwargs))
 
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(_Block):
     """The swept parameter and its grid values."""
+
+    _what: ClassVar[str] = "sweep"
 
     param: str
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        known = sorted({r.axis for r in KIND_RULES.values() if r.axis})
         _require(
-            self.param in AXIS_PARAMS.values(),
-            f"unknown sweep axis {self.param!r}; "
-            f"known: {', '.join(sorted(set(AXIS_PARAMS.values())))}",
+            self.param in known,
+            f"unknown sweep axis {self.param!r}; known: {', '.join(known)}",
         )
         values = tuple(int(v) for v in self.values)
         _require(len(values) >= 1, "sweep axis needs at least one value")
         _require(all(v > 0 for v in values), "sweep values must be positive")
         object.__setattr__(self, "values", values)
 
-    def to_dict(self) -> dict:
-        return {"param": self.param, "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepAxis":
-        _check_keys(d, {"param", "values"}, set(), "sweep")
-        return cls(param=d["param"], values=tuple(d["values"]))
-
 
 @dataclass(frozen=True)
-class ColocationSpec:
+class ColocationSpec(_Block):
     """Co-location block: sweep 1..N co-runner line-ups on one machine.
 
     Line-ups come from :func:`~repro.scenarios.trials.colo_scenarios`
@@ -149,37 +161,23 @@ class ColocationSpec:
     per-runner.
     """
 
+    _what: ClassVar[str] = "colocation"
+
     max_corunners: int = 4
     n_threads: int = 8
     scale: float = 0.02
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_corunners", int(self.max_corunners))
+        object.__setattr__(self, "n_threads", int(self.n_threads))
         _require(self.max_corunners >= 1, "max_corunners must be >= 1")
         _require(self.n_threads >= 1, "co-runners need at least one thread")
         _require(self.scale > 0, "co-location scale must be positive")
         object.__setattr__(self, "scale", float(self.scale))
 
-    def to_dict(self) -> dict:
-        return {
-            "max_corunners": self.max_corunners,
-            "n_threads": self.n_threads,
-            "scale": self.scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ColocationSpec":
-        _check_keys(
-            d, set(), {"max_corunners", "n_threads", "scale"}, "colocation"
-        )
-        return cls(
-            max_corunners=int(d.get("max_corunners", 4)),
-            n_threads=int(d.get("n_threads", 8)),
-            scale=d.get("scale", 0.02),
-        )
-
 
 @dataclass(frozen=True)
-class TieringSpec:
+class TieringSpec(_Block):
     """Tiering block: sweep placement policies against far-memory ratios.
 
     A ``tiering`` scenario profiles one workload on a tiered machine
@@ -190,6 +188,8 @@ class TieringSpec:
     runs an SPE pilot profile at ``pilot_period`` first and promotes
     the hottest pages — the paper's "use SPE to decide placement" loop.
     """
+
+    _what: ClassVar[str] = "tiering"
 
     policies: tuple[str, ...] = PLACEMENT_POLICIES
     far_ratios: tuple[float, ...] = (0.0, 0.25, 0.5)
@@ -219,29 +219,12 @@ class TieringSpec:
             len(set(ratios)) == len(ratios), "far ratios must be unique"
         )
         object.__setattr__(self, "far_ratios", ratios)
+        object.__setattr__(self, "pilot_period", int(self.pilot_period))
         _require(self.pilot_period >= 1, "pilot_period must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "policies": list(self.policies),
-            "far_ratios": list(self.far_ratios),
-            "pilot_period": self.pilot_period,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TieringSpec":
-        _check_keys(
-            d, set(), {"policies", "far_ratios", "pilot_period"}, "tiering"
-        )
-        return cls(
-            policies=tuple(d.get("policies", PLACEMENT_POLICIES)),
-            far_ratios=tuple(d.get("far_ratios", (0.0, 0.25, 0.5))),
-            pilot_period=int(d.get("pilot_period", 2048)),
-        )
 
 
 @dataclass(frozen=True)
-class SamplingSpec:
+class SamplingSpec(_Block):
     """Sampling block: score sampling strategies against ground truth.
 
     A ``sampling_accuracy`` scenario profiles one workload under every
@@ -251,6 +234,8 @@ class SamplingSpec:
     near-tier budget the ``miss_ratio_error`` placement-regret metric
     evaluates against.
     """
+
+    _what: ClassVar[str] = "sampling"
 
     strategies: tuple[str, ...] = STRATEGY_NAMES
     periods: tuple[int, ...] = (512, 2048)
@@ -283,34 +268,64 @@ class SamplingSpec:
         )
         object.__setattr__(self, "near_fraction", float(self.near_fraction))
 
-    def to_dict(self) -> dict:
-        return {
-            "strategies": list(self.strategies),
-            "periods": list(self.periods),
-            "near_fraction": self.near_fraction,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplingSpec":
-        _check_keys(
-            d, set(), {"strategies", "periods", "near_fraction"}, "sampling"
-        )
-        return cls(
-            strategies=tuple(d.get("strategies", STRATEGY_NAMES)),
-            periods=tuple(d.get("periods", (512, 2048))),
-            near_fraction=d.get("near_fraction", 0.5),
-        )
+#: the optional blocks, by :class:`ScenarioSpec` field
+BLOCKS: dict[str, type[_Block]] = {
+    "sweep": SweepAxis,
+    "colocation": ColocationSpec,
+    "tiering": TieringSpec,
+    "sampling": SamplingSpec,
+}
 
 
-def _check_keys(
-    d: dict, required: set[str], optional: set[str], what: str
-) -> None:
-    if not isinstance(d, dict):
-        raise ScenarioError(f"{what} block must be a JSON object, got {d!r}")
-    missing = required - set(d)
-    _require(not missing, f"{what} block missing keys: {sorted(missing)}")
-    unknown = set(d) - required - optional
-    _require(not unknown, f"{what} block has unknown keys: {sorted(unknown)}")
+@dataclass(frozen=True)
+class KindRule:
+    """The shape of one scenario kind: a :data:`KIND_RULES` row.
+
+    ``block`` is the one optional block the kind takes (every other
+    block must be unset) and ``axis`` its sweep parameter; ``workloads``
+    is ``"1+"``, ``"1"`` or ``"0"``.  ``period_only`` kinds pin the
+    legacy trial recipe: only ``NMO_PERIOD`` of the settings block (and
+    no workload kwargs) reaches their trials.  ``periods_from`` names
+    the block that supplies every trial's period, whose first value
+    ``NMO_PERIOD`` must equal so the spec hash never covers a period
+    that did not run.
+    """
+
+    block: str | None
+    workloads: str
+    axis: str | None = None
+    explicit_scale: bool = False
+    single_trial: bool = False
+    period_only: bool = True
+    periods_from: str | None = None
+
+
+#: one row per scenario kind a Session knows how to plan
+KIND_RULES: dict[str, KindRule] = {
+    "profile": KindRule(None, "1+", period_only=False),
+    "period_sweep": KindRule(
+        "sweep", "1+", axis="period", periods_from="sweep"
+    ),
+    "aux_sweep": KindRule(
+        "sweep", "1", axis="aux_pages", explicit_scale=True,
+        single_trial=True,
+    ),
+    "thread_sweep": KindRule(
+        "sweep", "1", axis="threads", explicit_scale=True, single_trial=True
+    ),
+    "colocation": KindRule("colocation", "0", single_trial=True),
+    "tiering": KindRule(
+        "tiering", "1", explicit_scale=True, single_trial=True
+    ),
+    "sampling_accuracy": KindRule(
+        "sampling", "1", explicit_scale=True, single_trial=True,
+        periods_from="sampling",
+    ),
+}
+
+#: scenario kinds a Session knows how to plan
+KINDS = tuple(KIND_RULES)
 
 
 def _default_settings() -> NmoSettings:
@@ -361,161 +376,90 @@ class ScenarioSpec:
         )
         _require(self.trials >= 1, "trials must be >= 1")
         _require(isinstance(self.seed, int), "seed must be an integer")
-        getattr(self, f"_check_{self.kind}")()
+        self._check_kind()
 
-    # -- per-kind structural rules ---------------------------------------
-
-    def _check_sampling_template(self) -> None:
-        """Sweep/colo trials pin the legacy recipe: only ``NMO_PERIOD``
-        of the settings block (and no workload kwargs) reaches the
-        trial, so reject anything that would be silently dropped — the
-        spec hash must only cover what actually runs."""
-        template = dataclasses.replace(
-            _default_settings(), period=self.settings.period
-        )
-        _require(
-            self.settings == template,
-            f"{self.kind} honours only NMO_PERIOD of the settings block; "
-            "the other fields must keep their Table I defaults",
-        )
-        _require(
-            all(not w.kwargs for w in self.workloads),
-            f"{self.kind} does not pass workload kwargs; remove them",
-        )
-
-    def _check_axis(self) -> None:
-        want = AXIS_PARAMS[self.kind]
-        _require(
-            self.sweep is not None and self.sweep.param == want,
-            f"{self.kind} scenarios need a sweep over {want!r}",
-        )
-        _require(
-            self.colocation is None, f"{self.kind} takes no colocation block"
-        )
-        _require(self.tiering is None, f"{self.kind} takes no tiering block")
-        _require(self.sampling is None, f"{self.kind} takes no sampling block")
-        self._check_sampling_template()
-
-    def _check_period_sweep(self) -> None:
-        self._check_axis()
-        _require(len(self.workloads) >= 1, "period_sweep needs >= 1 workload")
-        # the axis supplies every trial's period; pin the template to
-        # the first axis value so the spec hash never covers a period
-        # that did not run
-        _require(
-            self.settings.period == self.sweep.values[0],
-            "period_sweep takes its periods from the sweep axis; set "
-            "NMO_PERIOD to the first axis value",
-        )
-
-    def _check_single_workload_axis(self) -> None:
-        self._check_axis()
-        _require(
-            len(self.workloads) == 1,
-            f"{self.kind} sweeps exactly one workload",
-        )
-        _require(
-            self.workloads[0].scale is not None,
-            f"{self.kind} needs an explicit workload scale",
-        )
-        _require(self.trials == 1, f"{self.kind} supports a single trial")
-
-    _check_aux_sweep = _check_single_workload_axis
-
-    def _check_thread_sweep(self) -> None:
-        self._check_single_workload_axis()
-        # the axis IS the thread count; a pinned n_threads would be
-        # silently ignored (and falsely enter the spec hash)
-        _require(
-            self.workloads[0].n_threads == 32,
-            "thread_sweep sweeps the thread count; leave the workload's "
-            "n_threads at its default",
-        )
-
-    def _check_colocation(self) -> None:
-        _require(
-            self.colocation is not None,
-            "colocation scenarios need a colocation block",
-        )
-        _require(self.sweep is None, "colocation takes no sweep axis")
-        _require(self.tiering is None, "colocation takes no tiering block")
-        _require(
-            self.sampling is None, "colocation takes no sampling block"
-        )
-        _require(
-            not self.workloads,
-            "colocation line-ups are derived from the colocation block; "
-            "leave workloads empty",
-        )
-        _require(self.trials == 1, "colocation supports a single trial")
-        self._check_sampling_template()
-
-    def _check_tiering(self) -> None:
-        _require(
-            self.tiering is not None,
-            "tiering scenarios need a tiering block",
-        )
-        _require(self.sweep is None, "tiering takes no sweep axis")
-        _require(
-            self.colocation is None, "tiering takes no colocation block"
-        )
-        _require(self.sampling is None, "tiering takes no sampling block")
-        _require(
-            len(self.workloads) == 1, "tiering profiles exactly one workload"
-        )
-        _require(
-            self.workloads[0].scale is not None,
-            "tiering needs an explicit workload scale",
-        )
-        _require(self.trials == 1, "tiering supports a single trial")
-        _require(
-            MACHINE_PRESETS[self.machine]().tiers is not None,
-            f"tiering needs a tiered machine preset; {self.machine!r} "
-            "declares no memory tiers (use tiered_altra_max or "
-            "tiered_test_machine)",
-        )
-        self._check_sampling_template()
-
-    def _check_profile(self) -> None:
-        _require(self.sweep is None, "profile takes no sweep axis")
-        _require(self.colocation is None, "profile takes no colocation block")
-        _require(self.tiering is None, "profile takes no tiering block")
-        _require(self.sampling is None, "profile takes no sampling block")
-        _require(len(self.workloads) >= 1, "profile needs >= 1 workload")
-
-    def _check_sampling_accuracy(self) -> None:
-        _require(
-            self.sampling is not None,
-            "sampling_accuracy scenarios need a sampling block",
-        )
-        _require(self.sweep is None, "sampling_accuracy takes no sweep axis")
-        _require(
-            self.colocation is None,
-            "sampling_accuracy takes no colocation block",
-        )
-        _require(
-            self.tiering is None, "sampling_accuracy takes no tiering block"
-        )
-        _require(
-            len(self.workloads) == 1,
-            "sampling_accuracy profiles exactly one workload",
-        )
-        _require(
-            self.workloads[0].scale is not None,
-            "sampling_accuracy needs an explicit workload scale",
-        )
-        _require(
-            self.trials == 1, "sampling_accuracy supports a single trial"
-        )
-        # the block supplies every trial's period; pin the template to
-        # the first block value so the spec hash never covers a period
-        # that did not run
-        _require(
-            self.settings.period == self.sampling.periods[0],
-            "sampling_accuracy takes its periods from the sampling block; "
-            "set NMO_PERIOD to the first block period",
-        )
-        self._check_sampling_template()
+    def _check_kind(self) -> None:
+        """Apply the kind's :data:`KIND_RULES` row."""
+        kind, rule = self.kind, KIND_RULES[self.kind]
+        if rule.axis is not None:
+            _require(
+                self.sweep is not None and self.sweep.param == rule.axis,
+                f"{kind} scenarios need a sweep over {rule.axis!r}",
+            )
+        elif rule.block is not None:
+            _require(
+                getattr(self, rule.block) is not None,
+                f"{kind} scenarios need a {rule.block} block",
+            )
+        for name in BLOCKS:
+            if name != rule.block:
+                _require(
+                    getattr(self, name) is None,
+                    f"{kind} takes no "
+                    + ("sweep axis" if name == "sweep" else f"{name} block"),
+                )
+        n = len(self.workloads)
+        if rule.workloads == "1+":
+            _require(n >= 1, f"{kind} needs >= 1 workload")
+        elif rule.workloads == "1":
+            verb = "sweeps" if rule.axis else "profiles"
+            _require(n == 1, f"{kind} {verb} exactly one workload")
+        else:
+            _require(
+                n == 0,
+                f"{kind} line-ups are derived from the {rule.block} block; "
+                "leave workloads empty",
+            )
+        if rule.explicit_scale:
+            _require(
+                self.workloads[0].scale is not None,
+                f"{kind} needs an explicit workload scale",
+            )
+        if rule.single_trial:
+            _require(self.trials == 1, f"{kind} supports a single trial")
+        if rule.axis == "threads":
+            # the axis IS the thread count; a pinned n_threads would be
+            # silently ignored (and falsely enter the spec hash)
+            _require(
+                self.workloads[0].n_threads == 32,
+                "thread_sweep sweeps the thread count; leave the "
+                "workload's n_threads at its default",
+            )
+        if rule.block == "tiering":
+            _require(
+                MACHINE_PRESETS[self.machine]().tiers is not None,
+                f"tiering needs a tiered machine preset; {self.machine!r} "
+                "declares no memory tiers (use tiered_altra_max or "
+                "tiered_test_machine)",
+            )
+        if rule.period_only:
+            # reject what the trial would silently drop: the spec hash
+            # must only cover what actually runs
+            template = dataclasses.replace(
+                _default_settings(), period=self.settings.period
+            )
+            _require(
+                self.settings == template,
+                f"{kind} honours only NMO_PERIOD of the settings block; "
+                "the other fields must keep their Table I defaults",
+            )
+            _require(
+                all(not w.kwargs for w in self.workloads),
+                f"{kind} does not pass workload kwargs; remove them",
+            )
+        if rule.periods_from == "sweep":
+            _require(
+                self.settings.period == self.sweep.values[0],
+                f"{kind} takes its periods from the sweep axis; set "
+                "NMO_PERIOD to the first axis value",
+            )
+        elif rule.periods_from is not None:
+            block = getattr(self, rule.periods_from)
+            _require(
+                self.settings.period == block.periods[0],
+                f"{kind} takes its periods from the {rule.periods_from} "
+                "block; set NMO_PERIOD to the first block period",
+            )
 
     # -- resolution -------------------------------------------------------
 
@@ -532,75 +476,50 @@ class ScenarioSpec:
             "machine": self.machine,
             "workloads": [w.to_dict() for w in self.workloads],
             "settings": self.settings.to_env(),
-            "sweep": self.sweep.to_dict() if self.sweep else None,
-            "colocation": (
-                self.colocation.to_dict() if self.colocation else None
-            ),
             "trials": self.trials,
             "seed": self.seed,
         }
-        # the tiering key appears only when set: pre-tier scenario files
-        # keep their exact canonical JSON, and therefore their spec hash
-        if self.tiering is not None:
-            out["tiering"] = self.tiering.to_dict()
-        # same rule for the sampling block: pre-zoo files hash unchanged
-        if self.sampling is not None:
-            out["sampling"] = self.sampling.to_dict()
+        for name in BLOCKS:
+            block = getattr(self, name)
+            # sweep and colocation are always emitted; the later blocks
+            # appear only when set, so the canonical JSON (and the spec
+            # hash) of files written before they existed stays the same
+            if block is not None or name in ("sweep", "colocation"):
+                out[name] = block.to_dict() if block is not None else None
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
-        _check_keys(
-            d,
-            {"name", "kind"},
-            {"machine", "workloads", "settings", "sweep", "colocation",
-             "tiering", "sampling", "trials", "seed"},
-            "scenario",
-        )
-        settings = d.get("settings")
+        names = {f.name for f in dataclasses.fields(cls)}
+        _check_keys(d, {"name", "kind"}, names, "scenario")
         try:
-            return cls._build_from_dict(d, settings)
+            return cls._build_from_dict(d)
         except (TypeError, ValueError) as e:
             # bare coercion failures (non-list sweep values, "three"
             # trials, ...) become the clean scenario error the CLI shows
             raise ScenarioError(f"malformed scenario value: {e}") from None
 
     @classmethod
-    def _build_from_dict(cls, d: dict, settings) -> "ScenarioSpec":
-        return cls(
-            name=d["name"],
-            kind=d["kind"],
-            machine=d.get("machine", "ampere_altra_max"),
-            workloads=tuple(
+    def _build_from_dict(cls, d: dict) -> "ScenarioSpec":
+        settings = d.get("settings")
+        kw = {
+            "name": d["name"],
+            "kind": d["kind"],
+            "machine": d.get("machine", "ampere_altra_max"),
+            "workloads": tuple(
                 WorkloadSpec.from_dict(w) for w in d.get("workloads") or ()
             ),
-            settings=(
+            "settings": (
                 NmoSettings.from_env(settings)
                 if settings is not None
                 else _default_settings()
             ),
-            sweep=(
-                SweepAxis.from_dict(d["sweep"])
-                if d.get("sweep") is not None
-                else None
-            ),
-            colocation=(
-                ColocationSpec.from_dict(d["colocation"])
-                if d.get("colocation") is not None
-                else None
-            ),
-            tiering=(
-                TieringSpec.from_dict(d["tiering"])
-                if d.get("tiering") is not None
-                else None
-            ),
-            sampling=(
-                SamplingSpec.from_dict(d["sampling"])
-                if d.get("sampling") is not None
-                else None
-            ),
-            trials=int(d.get("trials", 1)),
-            seed=int(d.get("seed", 0)),
+        }
+        for name, block in BLOCKS.items():
+            if d.get(name) is not None:
+                kw[name] = block.from_dict(d[name])
+        return cls(
+            **kw, trials=int(d.get("trials", 1)), seed=int(d.get("seed", 0))
         )
 
     def to_json(self, indent: int | None = 2) -> str:

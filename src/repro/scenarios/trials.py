@@ -6,10 +6,10 @@ the cache key, runs the simulation, and returns a plain pickleable
 dict.  All of them are module-level so :class:`functools.partial`
 closures over the machine cross the process-pool boundary.
 
-These recipes *are* the legacy ``evalharness`` trial bodies — they
-moved here so the declarative :class:`~repro.scenarios.session.Session`
-and the legacy figure entry points share one canonical cache-key path;
-the golden-parity suite pins that the payloads stay byte-identical.
+These recipes are the one canonical cache-key path: every front door
+(``Session``, the figure commands, the service) runs its trials through
+them, and the golden-parity suite pins that the payloads stay
+byte-identical.
 
 Workload names resolve through :func:`repro.workloads.registry`, so an
 unknown name raises the registry's "known: ..." error everywhere.
@@ -17,6 +17,7 @@ unknown name raises the registry's "known: ..." error everywhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -399,7 +400,10 @@ def _colo_runners(
 def colo_trial(machine: MachineSpec, spec: TrialSpec) -> dict:
     """One co-location line-up on the contended channel."""
     cfg = spec.config
-    names = tuple(cfg["workloads"])
+    # interned, the names are the very objects the in-process config
+    # holds, so the row pickles to the same bytes from every executor
+    # (a one-runner line-up's scenario label *is* its runner's name)
+    names = tuple(sys.intern(n) for n in cfg["workloads"])
     settings = NmoSettings(
         enable=True, mode=NmoMode.SAMPLING, period=cfg["period"]
     )

@@ -173,7 +173,9 @@ class ClientBase:
         """Yield row events as trials land; ends after the ``end`` event.
 
         The generator yields every ``{"event": "row", ...}`` dict and
-        finally the ``{"event": "end", "state": ...}`` dict.
+        finally the ``{"event": "end", "state": ...}`` dict.  A caller
+        may stop early: the stream's transport is then dropped, so the
+        next request starts on a clean connection.
         """
         for msg in self._events(job_id):
             if "event" not in msg:
@@ -343,6 +345,18 @@ class ServerClient(ClientBase):
         return self._exchange({"op": op, **params})
 
     def _events(self, job_id: str) -> Iterator[dict[str, Any]]:
-        yield self._call("stream", {"job_id": job_id})
-        while True:
-            yield self._exchange()
+        ack = self._call("stream", {"job_id": job_id})
+        # an error ack is the whole reply; an accepted stream owns the
+        # socket until its end event
+        done = not ack.get("ok")
+        try:
+            yield ack
+            while not done:
+                msg = self._exchange()
+                done = msg.get("event") == "end"
+                yield msg
+        finally:
+            if not done:
+                # left early: the stream's unread rest would be taken
+                # for the next request's reply, so drop the connection
+                self.close()

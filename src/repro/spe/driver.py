@@ -17,8 +17,7 @@ way the kernel's ``arm_spe_pmu`` driver does (paper §II-A, §IV-A):
   paper's observation that "ARM SPE loses all samples if the Aux buffer
   is not large enough; the minimum size to ensure SPE works is 4 pages").
 
-Cost-model constants are calibrated so the *shapes* of Fig. 8-11 emerge;
-see EXPERIMENTS.md for calibration notes.
+Cost-model constants are calibrated so the *shapes* of Fig. 8-11 emerge.
 """
 
 from __future__ import annotations

@@ -36,7 +36,11 @@ from repro.errors import SpeError
 from repro.spe.config import SpeConfig
 from repro.spe.records import SampleBatch
 from repro.spe.refpath import reference_active
-from repro.spe.strategies import check_period, get_strategy
+from repro.spe.strategies import (
+    _renewal_positions,
+    check_period,
+    get_strategy,
+)
 
 
 class OpSource(Protocol):
@@ -118,35 +122,12 @@ def sample_positions(
     the second return value is the residue to pass to the next stream.
     """
     check_period(period)
-    if n_ops < 0:
-        raise SpeError("n_ops must be >= 0")
     window = max(2, period // 16) if jitter else max(2, period // 256)
 
     def draw(k: int) -> np.ndarray:
         return period - rng.integers(0, window, size=k, dtype=np.int64)
 
-    first = int(carry) if carry is not None else int(draw(1)[0])
-    if first <= 0:
-        raise SpeError(f"carry must be positive, got {first}")
-    if n_ops == 0:
-        return np.zeros(0, dtype=np.int64), first
-    if first > n_ops:
-        return np.zeros(0, dtype=np.int64), first - n_ops
-    # draw enough intervals to exceed n_ops, then trim; a short draw is
-    # topped up chunk by chunk (accumulated in a list and joined once at
-    # the end, so the already-drawn prefix is never re-copied and the
-    # total grows geometrically instead of quadratically)
-    n_est = int((n_ops - first) // max(1, period - window)) + 2
-    chunks = [first - 1 + np.concatenate([[0], np.cumsum(draw(n_est))])]
-    last = int(chunks[-1][-1])
-    while last < n_ops - 1:
-        more = last + np.cumsum(draw(n_est))
-        chunks.append(more)
-        last = int(more[-1])
-    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    past = pos[pos >= n_ops]
-    residue = int(past[0]) - (n_ops - 1) if past.size else int(draw(1)[0])
-    return pos[pos < n_ops], residue
+    return _renewal_positions(n_ops, draw, period - window, carry)
 
 
 def _reference_collision_scan(

@@ -138,11 +138,13 @@ def _renewal_positions(
     est_gap: int,
     carry: int | None,
 ) -> tuple[np.ndarray, int]:
-    """Positions of a renewal process with gap sampler ``draw(k)``.
+    """Positions of a renewal process with gap sampler ``draw(k)``, plus
+    the residue to carry into the next stream.
 
-    The same chunked top-up skeleton as
-    :func:`repro.spe.sampler.sample_positions` (which keeps its own copy
-    verbatim for byte-parity), generalised over the gap distribution.
+    The one chunked top-up skeleton behind
+    :func:`repro.spe.sampler.sample_positions` (jittered interval
+    counter) and the Poisson-timed strategies; ``est_gap`` estimates
+    the mean gap and sizes each chunk.
     """
     if n_ops < 0:
         raise SpeError("n_ops must be >= 0")
@@ -153,6 +155,10 @@ def _renewal_positions(
         return np.zeros(0, dtype=np.int64), first
     if first > n_ops:
         return np.zeros(0, dtype=np.int64), first - n_ops
+    # draw enough gaps to exceed n_ops, then trim; a short draw is
+    # topped up chunk by chunk (accumulated in a list and joined once at
+    # the end, so the already-drawn prefix is never re-copied and the
+    # total grows geometrically instead of quadratically)
     n_est = int((n_ops - first) // max(1, est_gap)) + 2
     chunks = [first - 1 + np.concatenate([[0], np.cumsum(draw(n_est))])]
     last = int(chunks[-1][-1])

@@ -10,19 +10,19 @@ from repro.evalharness.experiments import (
     table1_env_defaults,
     table2_machine_spec,
 )
-from repro.evalharness.report import (
-    render_colo,
-    render_fig7,
-    render_fig9,
-    render_fig10_fig11,
-    render_sweep_table,
-)
 from repro.scenarios import (
     Session,
     colo_interference_spec,
     colo_scenarios,
     fig7_spec,
     fig10_spec,
+)
+from repro.scenarios.report import (
+    render_colo,
+    render_fig7,
+    render_fig9,
+    render_fig10_fig11,
+    render_sweep_table,
 )
 
 

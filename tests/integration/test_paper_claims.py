@@ -88,7 +88,7 @@ class TestFig7Claims:
         """Five-trial spread exists at small periods (collision cascades
         depend on the perturbation draws).  The *magnitude* of the
         paper's variance blow-up additionally involves OS noise we do not
-        model; see EXPERIMENTS.md."""
+        model."""
         runs = [run("cfd", 1000, seed=s) for s in range(4)]
         samples = [r.samples_processed for r in runs]
         collisions = [r.collisions for r in runs]

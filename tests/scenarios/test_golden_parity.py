@@ -8,19 +8,17 @@ Each comparison below runs one exhibit preset two ways and requires
   against two cache directories must leave the same set of entry
   files with the same bytes.
 
-Figs. 7-10 compare the runner's two executors, in-process
-(``workers=1``) and a worker pool (``workers=2``).  Colo compares a
-figure command (``python -m repro colo_interference``) with
+Figs. 7-10 and colo compare the runner's two executors, in-process
+(``workers=1``) and a worker pool (``workers=2``).  Colo also compares
+a figure command (``python -m repro colo_interference``) with
 ``Session.run`` of its preset (what ``python -m repro run`` does), and
 a preset run over the figure command's cache must be a full hit: that
 is what lets a fleet mix figure commands and ``repro run`` invocations
-against one shared cache.  (Colo rows are not compared across
-executors: a pooled row pickles its workload-name strings unshared, so
-its bytes differ from the in-process row's while the values agree.)
+against one shared cache.
 """
 
 from repro.__main__ import main
-from repro.evalharness.report import (
+from repro.scenarios.report import (
     render_colo,
     render_fig7,
     render_fig8,
@@ -90,6 +88,12 @@ class TestFig10Parity:
 
 
 class TestColoParity:
+    def test_executors_agree(self, tmp_path):
+        # a one-runner line-up's label is its runner's name: both must
+        # pickle as one shared string from the pool too
+        spec = colo_interference_spec(max_corunners=2, scale=0.002)
+        assert_paths_agree(tmp_path, spec, render_colo)
+
     def test_results_render_and_cache(self, tmp_path, capsys):
         cli_dir = tmp_path / "cli"
         assert main(

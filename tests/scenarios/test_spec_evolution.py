@@ -11,9 +11,12 @@ in the wild.  These tests pin the compatibility contract:
   the pre-tier ones, so existing :class:`ResultCache` entries still
   hit,
 * specs **with** a tiering block round-trip losslessly and hash
-  differently.
+  differently,
+* every preset and example file keeps its ``spec_hash`` and the exact
+  bytes of its ``to_json()`` however the schema code is arranged.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -26,11 +29,13 @@ from repro.machine.spec import (
 )
 from repro.orchestrate.cache import cache_key, canonical_config
 from repro.scenarios import (
+    SCENARIO_PRESETS,
     SamplingSpec,
     ScenarioSpec,
     Session,
     TieringSpec,
     load_scenario,
+    named_scenario,
     sampling_zoo_spec,
     tiering_sweep_spec,
 )
@@ -218,3 +223,79 @@ class TestSamplingRoundTrip:
         d["sampling"]["oversample"] = 16
         with pytest.raises(Exception, match="unknown keys"):
             ScenarioSpec.from_dict(d)
+
+
+#: (spec_hash, sha256 of to_json()) of every preset, captured before the
+#: spec blocks shared one codec: the provenance anchors must not move
+PRESET_ANCHORS = {
+    "colo_interference": (
+        "ee871e57199f9fb7feafb3d06cbb62a2eddc96709ef2873cc69e7cca12ffefbb",
+        "7ed203c747022678f171b1cacf62f9d762433b3c68091f05837e6a6de71bb7be",
+    ),
+    "fig10_fig11": (
+        "9979f7eec9581a43ab49a8a744824c2888dec13602dd1f74a3a13b17db88f894",
+        "f37a114c9ca5835f14abf7c7c0f86c40de7acc85ae8ee932ed1d470589b727c7",
+    ),
+    "fig7": (
+        "a3d619d3355154c7c71d889a5aa6594cf67796bb3a987df49e13ece690cc3373",
+        "ceecf9a0bf81c0ac0f858a2b69ab5d3b8476271a950d483dd60e87d4b7a095b7",
+    ),
+    "fig8": (
+        "8533d35fd5b3af2c08a59b704318242ca7f338a5cfc5e32f7d6bbd0ddd4d817f",
+        "870e35c71a3ee09e59bcd165470262e48158628f66e720b28efabb18c7148b5c",
+    ),
+    "fig9": (
+        "12f0a0af579ceebc07c2a4483402c30dadaa997d1aa784549f3f34044aa59df7",
+        "5e551edfac470dfe019e11c4ec33742db874a833e565e4b05239adbfe04b9dd8",
+    ),
+    "quickstart": (
+        "131ebfeb9ff0fe2823dc24ff16c81a3f350eafd2ca6ff8ecdb602fa55d6bc275",
+        "2a987a65c09b5094f6416232ec31dcec2caaf3f2b861c6efa4fb0f8680341767",
+    ),
+    "sampling_zoo": (
+        "8f39326166b5381fcda5eadc34ece1ffd2c199c40f83d2103d02894ae7644c53",
+        "9765a3f2d698ba3415cf4f062f87ccd207362037dd2bef1f897aa0ea3bdcb820",
+    ),
+    "tiering_sweep": (
+        "5276b05d5dab558235f32945dce532d88debacd34f1090a4bb6af4dc05ccf432",
+        "4aeb2c0a9cb45a4460bcd8cb7b8daaac15a68f67f2377d77e12d3b44abfc398a",
+    ),
+}
+
+#: sha256 of each example file's to_json(), captured with PRESET_ANCHORS
+#: (their spec hashes are pinned in PRE_ZOO_SPEC_HASHES above)
+EXAMPLE_JSON_SHA256 = {
+    "colo_smoke.json":
+        "15d9c1d28074274abfc296dfeedcaece6080d8a6b466faef668d6e7bc6f85f3c",
+    "fig8_small.json":
+        "2a56ea6be721907903570babd332481af37834a1558fcc367dbdb7e7669cf276",
+    "quickstart_profile.json":
+        "2a987a65c09b5094f6416232ec31dcec2caaf3f2b861c6efa4fb0f8680341767",
+    "tiering_smoke.json":
+        "c7dbe8bb163b37ea8c2e1342ecb62f9cec3499104033b9ce2056361db11affa1",
+}
+
+
+def json_sha256(spec: ScenarioSpec) -> str:
+    return hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()
+
+
+class TestProvenanceAnchors:
+    def test_every_preset_is_pinned(self):
+        assert set(PRESET_ANCHORS) == set(SCENARIO_PRESETS)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_ANCHORS))
+    def test_preset_hash_and_json_unchanged(self, name):
+        spec = named_scenario(name)
+        assert (spec.spec_hash(), json_sha256(spec)) == PRESET_ANCHORS[name]
+
+    def test_every_example_file_is_pinned(self):
+        files = {
+            p.name for p in (ROOT / "examples" / "scenarios").glob("*.json")
+        }
+        assert files == set(EXAMPLE_JSON_SHA256) == set(PRE_ZOO_SPEC_HASHES)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_JSON_SHA256))
+    def test_example_json_unchanged(self, name):
+        spec = ScenarioSpec.from_file(ROOT / "examples" / "scenarios" / name)
+        assert json_sha256(spec) == EXAMPLE_JSON_SHA256[name]

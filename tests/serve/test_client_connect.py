@@ -6,6 +6,7 @@ registration depends on it), and version-skewed peers must be
 rejected with ``protocol_mismatch`` in both directions.
 """
 
+import contextlib
 import random
 import socket
 import socketserver
@@ -14,8 +15,9 @@ import time
 
 import pytest
 
-from repro.cluster import HttpClusterClient
+from repro.cluster import HttpClusterClient, HttpGateway
 from repro.errors import ServeError
+from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 from repro.serve import ProfilingServer, RetryPolicy, ServerClient, protocol
 
 
@@ -220,6 +222,32 @@ class TestReconnect:
             finally:
                 client.close()
                 late.shutdown()
+
+
+@pytest.mark.parametrize("client_cls", [ServerClient, HttpClusterClient])
+def test_a_request_after_an_abandoned_stream_gets_its_own_reply(
+    server, client_cls
+):
+    # a caller that stops before the end event must not leave the
+    # stream's remaining rows to be read as the next request's reply
+    spec = ScenarioSpec(
+        name=f"abandoned-{client_cls.__name__}",
+        kind="profile",
+        workloads=(WorkloadSpec("stream", n_threads=2, scale=0.02),),
+        machine="small_test_machine",
+        trials=3,
+    )
+    with contextlib.ExitStack() as stack:
+        address = server.address
+        if client_cls is HttpClusterClient:
+            address = stack.enter_context(HttpGateway(server)).address
+        client = stack.enter_context(client_cls(*address))
+        job_id = client.submit(spec)["job_id"]
+        for event in client.stream(job_id):
+            assert event["event"] == "row"
+            break
+        assert client.status(job_id)["job_id"] == job_id
+        assert client.run(spec).state == "done"
 
 
 class TestHandshake:

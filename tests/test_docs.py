@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.__main__ import COMMANDS, EXPERIMENTS, PARALLEL_EXPERIMENTS
+from repro.__main__ import COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,8 +77,11 @@ class TestReadme:
 
     def test_exhibit_matrix_covers_cli_experiments(self):
         text = self.readme()
-        for name in EXPERIMENTS:
-            if name == "fig11":  # documented on the fig10 row
+        for name in COMMANDS:
+            # fig11 is documented on the fig10 row; the rest are not
+            # paper exhibits (maintenance / scenario plumbing)
+            if name in ("fig11", "cache", "cluster", "run", "scenarios",
+                        "serve"):
                 continue
             assert f"python -m repro {name}" in text, name
 
@@ -113,7 +116,6 @@ class TestArchitectureDoc:
         doc = (ROOT / "docs" / "architecture.md").read_text()
         assert "byte-identical" in doc
         assert "WorkerPool" in doc
-        assert PARALLEL_EXPERIMENTS
 
 
 class TestPerformanceDoc:
@@ -545,6 +547,30 @@ class TestScenariosDoc:
         doc = self.doc()
         for kind in KINDS:
             assert kind in doc, kind
+
+    def test_kind_table_mirrors_kind_rules(self):
+        from repro.scenarios.spec import KIND_RULES
+
+        lines = self.doc().split("| Kind | Block |", 1)[1].splitlines()[2:]
+        rows = {}
+        for line in lines:
+            if not line.startswith("|"):
+                break
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells
+        assert list(rows) == list(KIND_RULES)
+        for kind, rule in KIND_RULES.items():
+            _, block, workloads, scale, trials, period = rows[kind]
+            assert block.startswith(f"`{rule.block}`" if rule.block else "—")
+            assert rule.axis is None or f"`{rule.axis}`" in block, kind
+            assert workloads == rule.workloads, kind
+            assert scale.startswith("yes" if rule.explicit_scale else "no")
+            assert trials == ("1" if rule.single_trial else "any"), kind
+            source = (
+                rule.periods_from
+                or ("NMO_PERIOD" if rule.period_only else "settings")
+            )
+            assert f"`{source}`" in period, kind
 
     def test_migration_table_names_every_preset(self):
         doc = self.doc()
