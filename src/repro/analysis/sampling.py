@@ -22,9 +22,9 @@ computed vectorized:
   from the target ``mem_counted / period`` (the paper's Eq. 1 accuracy,
   as a symmetric error).
 
-Ground truth for phase workloads is *statistical*: the address function
-is deterministic per op index, so enumerating every index reproduces
-the exact access stream the sampler drew from.
+Ground truth for phase workloads is exact: the address function is
+deterministic per op index, so enumerating every memory op reproduces
+the access stream the sampler drew from.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.ops import OpKind
 from repro.errors import AnalysisError
 from repro.machine.tiers import page_hotness
 
@@ -90,34 +89,32 @@ def align_or_raise(truth: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.n
     return truth, est
 
 
-def exhaustive_page_hotness(
-    workload, seed: int = 0, chunk: int = 1 << 20
-) -> np.ndarray:
-    """Ground-truth per-page access counts by enumerating every op.
+def exhaustive_page_hotness(workload, chunk: int = 1 << 20) -> np.ndarray:
+    """Ground-truth per-page access counts of every memory op.
 
-    Walks every phase x thread op source of ``workload`` in ``chunk``-
-    sized index blocks, counts loads+stores per mapped page (allocation
-    order, aligned with :func:`repro.machine.tiers.page_hotness`).  The
-    dedicated RNG stream only feeds ``ops_at``'s signature; phase
-    address/kind functions are deterministic per index, so the result
-    is exact and reproducible per seed.
+    Counts the loads+stores of every phase x thread stream of
+    ``workload`` per mapped page (allocation order, aligned with
+    :func:`repro.machine.tiers.page_hotness`).  Each op group holds at
+    most one memory op (:meth:`~repro.workloads.base.Phase.mem_slots`),
+    so the pass walks groups, not ops: every thread's groups of a phase
+    in ``chunk``-sized blocks, dropping the groups whose slot falls
+    outside the group, with one address-function call per block for all
+    threads.  The counts equal those of enumerating every op through
+    ``PhaseOpSource.ops_at``.
     """
     if chunk <= 0:
         raise AnalysisError(f"chunk must be positive, got {chunk}")
     aspace = workload.process.address_space
-    rng = np.random.default_rng([seed, 0xE0])
     total = None
     for phase in workload.phases:
-        for tidx in range(workload.phase_threads(phase)):
-            src = workload.op_source(phase, tidx)
-            for start in range(0, src.n_ops, chunk):
-                idx = np.arange(
-                    start, min(start + chunk, src.n_ops), dtype=np.int64
-                )
-                kinds, addrs = src.ops_at(idx, rng)
-                mem = (kinds == OpKind.LOAD) | (kinds == OpKind.STORE)
-                counts = page_hotness(aspace, addrs[mem])
-                total = counts if total is None else total + counts
+        n = phase.n_mem_ops * workload.phase_threads(phase)
+        for start in range(0, n, chunk):
+            flat = np.arange(start, min(start + chunk, n), dtype=np.int64)
+            threads, mem_idx = np.divmod(flat, phase.n_mem_ops)
+            has_mem = phase.mem_slots(mem_idx) < phase.group
+            addrs = phase.addr_fn(mem_idx[has_mem], threads[has_mem])
+            counts = page_hotness(aspace, addrs)
+            total = counts if total is None else total + counts
     if total is None:
         return np.zeros(0, dtype=np.int64)
     return total

@@ -30,6 +30,12 @@ class OpKind(enum.IntEnum):
 #: Kinds that constitute the ``mem_access`` PMU event (loads + stores).
 MEM_KINDS = (OpKind.LOAD, OpKind.STORE)
 
+#: The kinds as plain ints, for the sampling hot path: NumPy probes the
+#: type of every ``OpKind`` member it is handed (through
+#: ``EnumType.__getattr__``), which costs more than the array work on
+#: the few-sample arrays of one phase.
+OTHER, LOAD, STORE, BRANCH, FLOP = (int(k) for k in OpKind)
+
 
 @dataclass
 class OpChunk:

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import MachineError
 from repro.machine.hierarchy import MemLevel
 from repro.machine.spec import MachineSpec
-from repro.cpu.ops import OpKind
+from repro.cpu.ops import LOAD, STORE, OpKind
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,11 @@ class PipelineModel:
     )
     #: latency jitter fraction (uniform +-) applied per sampled op
     jitter: float = 0.1
+    #: dram_scale -> (issue-cost LUT by kind, latency LUT by level),
+    #: built on first use (the model is frozen, so they never go stale)
+    _luts: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dispatch_width <= 0:
@@ -76,6 +81,25 @@ class PipelineModel:
             return lut[level]
         return self.spec.tier_latency_cycles(level.tier)
 
+    def _latency_luts(self, dram_scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """(issue cost by kind, data-source latency by level) under one
+        ``dram_scale``; built once per scale, then shared by every call."""
+        luts = self._luts.get(dram_scale)
+        if luts is None:
+            issue_lut = np.zeros(256, dtype=np.float64)
+            for kind, cost in self.issue_cycles.items():
+                issue_lut[int(kind)] = cost
+            level_lut = np.zeros(int(MemLevel.DRAM_CXL) + 1, dtype=np.float64)
+            for lv in MemLevel:
+                level_lut[int(lv)] = self.level_latency(lv)
+            # queueing stretches every DRAM-class tier: loaded latency
+            # scales with channel pressure wherever the line lives
+            for lv in MemLevel:
+                if lv.is_dram_class:
+                    level_lut[int(lv)] *= dram_scale
+            luts = self._luts[dram_scale] = (issue_lut, level_lut)
+        return luts
+
     def op_latencies(
         self,
         kinds: np.ndarray,
@@ -94,26 +118,16 @@ class PipelineModel:
         if dram_scale < 1.0:
             raise MachineError("dram_scale must be >= 1")
         kinds = np.asarray(kinds, dtype=np.uint8)
-        issue_lut = np.zeros(256, dtype=np.float64)
-        for kind, cost in self.issue_cycles.items():
-            issue_lut[int(kind)] = cost
+        issue_lut, level_lut = self._latency_luts(dram_scale)
         lat = issue_lut.take(kinds)
-        is_mem = (kinds == OpKind.LOAD) | (kinds == OpKind.STORE)
+        is_mem = (kinds == LOAD) | (kinds == STORE)
         if is_mem.any():
             if levels is None:
                 raise MachineError("levels required when chunk contains memory ops")
             levels = np.asarray(levels, dtype=np.uint8)
             if levels.shape != kinds.shape:
                 raise MachineError("levels array must match kinds shape")
-            lut = np.zeros(int(MemLevel.DRAM_CXL) + 1, dtype=np.float64)
-            for lv in MemLevel:
-                lut[int(lv)] = self.level_latency(lv)
-            # queueing stretches every DRAM-class tier: loaded latency
-            # scales with channel pressure wherever the line lives
-            for lv in MemLevel:
-                if lv.is_dram_class:
-                    lut[int(lv)] *= dram_scale
-            lat[is_mem] += lut[levels[is_mem]]
+            lat[is_mem] += level_lut[levels[is_mem]]
         if rng is not None and self.jitter > 0:
             lat *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter, size=lat.shape)
         return lat

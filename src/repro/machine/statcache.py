@@ -43,6 +43,8 @@ from repro.errors import MachineError
 from repro.machine.hierarchy import CORE_LEVELS, MemLevel
 from repro.machine.spec import MachineSpec
 
+_CORE_LEVEL_CODES = np.array([int(lv) for lv in CORE_LEVELS], dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class AccessClass:
@@ -90,6 +92,8 @@ class StatCacheModel:
             MemLevel.L2: spec.l2.size,
             MemLevel.SLC: spec.slc.size,
         }
+        #: (classes, sharers) -> the CDF :meth:`draw_levels` inverts
+        self._level_cdfs: dict[tuple, np.ndarray] = {}
 
     # -- single class ----------------------------------------------------------
 
@@ -170,17 +174,26 @@ class StatCacheModel:
 
         Returns a uint8 array of :class:`MemLevel` values — the statistical
         analogue of :meth:`MemoryHierarchy.access_many` for sampled ops.
+        The draw is ``rng.choice(CORE_LEVELS, size=n, p=...)`` unrolled:
+        the same uniforms through the same CDF, so the same levels and
+        RNG state, with the CDF built once per mixture (every phase
+        draws from one mixture on every core) instead of per call.
         """
         if n < 0:
             raise MachineError("n must be >= 0")
-        probs = self.mixture_probabilities(classes, sharers=sharers)
-        # draw over the core levels only: tier attribution is a pure
-        # post-hoc remap of DRAM draws, so the RNG stream (and hence
-        # every flat-machine profile) stays bit-identical
-        levels = np.array([int(lv) for lv in CORE_LEVELS], dtype=np.uint8)
-        pvec = np.array([probs[MemLevel(lv)] for lv in levels], dtype=np.float64)
-        pvec = pvec / pvec.sum()
-        return rng.choice(levels, size=n, p=pvec)
+        key = (tuple(classes), sharers)
+        cdf = self._level_cdfs.get(key)
+        if cdf is None:
+            probs = self.mixture_probabilities(classes, sharers=sharers)
+            # draw over the core levels only: tier attribution is a pure
+            # post-hoc remap of DRAM draws, so the RNG stream (and hence
+            # every flat-machine profile) stays bit-identical
+            pvec = np.array([probs[lv] for lv in CORE_LEVELS], dtype=np.float64)
+            pvec = pvec / pvec.sum()
+            cdf = pvec.cumsum()
+            cdf /= cdf[-1]
+            self._level_cdfs[key] = cdf
+        return _CORE_LEVEL_CODES[cdf.searchsorted(rng.random(n), side="right")]
 
     def expected_latency(
         self, classes: list[AccessClass], sharers: int = 1

@@ -8,10 +8,11 @@ application) and the Table I environment settings, :class:`NmoProfiler`
    on x86) with the configured period and buffer sizes,
 2. registers the workload's data objects via ``nmo_tag_addr`` and its
    tagged phases via ``nmo_start``/``nmo_stop``,
-3. runs the workload phase by phase: per thread, the SPE sampler draws
-   samples from the closed-form op stream, the driver routes the 64-byte
-   records through aux/ring buffers (charging interrupt and processing
-   cycles to the interrupted thread), and the consumer decodes them,
+3. runs the workload phase by phase: the SPE sampler draws every
+   thread's samples of a phase in one step from the closed-form op
+   streams, then per thread the driver routes the 64-byte records
+   through aux/ring buffers (charging interrupt and processing cycles
+   to the interrupted thread), and the consumer decodes them,
 4. tracks capacity (RSS) and bandwidth (bus-event) time series,
 5. converts SPE timestamps to perf time via the metadata page
    (``time_zero/shift/mult``) and assembles a :class:`ProfileResult`
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cpu.clock import GenericTimer
-from repro.cpu.ops import OpKind
 from repro.cpu.pipeline import PipelineModel
 from repro.errors import NmoError
 from repro.kernel.counters import CounterEvent, CounterGroup, IntervalSeries
@@ -39,6 +39,7 @@ from repro.nmo.timescale import TimescaleConverter
 from repro.nmo.tracefile import TraceData
 from repro.spe.driver import SpeCostModel, ThrottleModel
 from repro.spe.records import SampleBatch
+from repro.spe.sampler import sample_phase
 from repro.substrate.codec import register as _substrate
 from repro.workloads.base import Workload
 
@@ -257,12 +258,17 @@ class NmoProfiler:
                     ann.nmo_stop(t0)
                 ann.nmo_start(tag, t0)
                 open_tag = tag
+            if sampling:
+                outs = sample_phase(
+                    [sessions[t].sampler for t in range(active)],
+                    [w.op_source(phase, t) for t in range(active)],
+                    [team[t].cycles for t in range(active)],
+                )
             for tidx in range(active):
                 thread = team[tidx]
-                src = w.op_source(phase, tidx)
                 if sampling:
                     sess = sessions[tidx]
-                    out = sess.sampler.sample_stream(src, start_cycle=thread.cycles)
+                    out = outs[tidx]
                     res = sess.driver.feed(out)
                     st = stats[tidx]
                     st.n_selected += out.n_selected

@@ -35,17 +35,26 @@ def static_chunks(n_iters: int, n_threads: int) -> list[tuple[int, int]]:
     return out
 
 
-def chunk_of(n_iters: int, n_threads: int, thread: int) -> tuple[int, int]:
-    """The static chunk assigned to one thread (no list allocation)."""
-    if not 0 <= thread < n_threads:
-        raise WorkloadError(f"thread {thread} outside team of {n_threads}")
-    base = n_iters // n_threads
-    rem = n_iters % n_threads
-    if thread < rem:
-        start = thread * (base + 1)
-        return start, start + base + 1
-    start = rem * (base + 1) + (thread - rem) * base
-    return start, start + base
+def chunk_of(n_iters: int, n_threads: int, thread):
+    """The static chunk ``[start, stop)`` assigned to a thread.
+
+    ``thread`` is one id (ints returned) or an integer array of ids
+    (arrays of the same shape returned).  The first ``n_iters %
+    n_threads`` threads take one extra iteration, so thread ``t`` starts
+    at ``t * base + min(t, rem)``.
+    """
+    t = np.asarray(thread)
+    bad = (t < 0) | (t >= n_threads)
+    if bad.any():
+        raise WorkloadError(
+            f"thread {t[bad].flat[0]} outside team of {n_threads}"
+        )
+    base, rem = divmod(n_iters, n_threads)
+    start = t * base + np.minimum(t, rem)
+    stop = start + base + (t < rem)
+    if t.ndim == 0:
+        return int(start), int(stop)
+    return start, stop
 
 
 def interleaved_chunks(n_iters: int, n_threads: int, chunk: int = 1) -> list[np.ndarray]:

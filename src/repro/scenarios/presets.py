@@ -173,9 +173,9 @@ def sampling_zoo_spec(
 ) -> ScenarioSpec:
     """Sampling zoo: every strategy scored against exhaustive ground truth.
 
-    The workload is kept small on purpose: the ground-truth pass walks
-    every op in the stream once, so its cost scales with the op count,
-    not the sampling period.
+    The workload is kept small on purpose: the ground-truth pass counts
+    every memory op of the run once per process, so its cost scales
+    with the op count, not the sampling period or the number of trials.
     """
     return ScenarioSpec(
         name="sampling_zoo",

@@ -17,6 +17,7 @@ unknown name raises the registry's "known: ..." error everywhere.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -292,10 +293,29 @@ def tiering_trial(machine: MachineSpec, spec: TrialSpec) -> dict:
 # Sampling accuracy
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def ground_truth(
+    workload: str, n_threads: int, scale: float, machine: MachineSpec
+) -> np.ndarray:
+    """Exhaustive per-page access counts of one workload (read-only).
+
+    Memoised per process: every (strategy, period) trial of a
+    sampling_accuracy scenario scores against the same counts, which
+    depend only on the arguments (the whole machine, not its name), so
+    each process computes them once per workload.
+    """
+    from repro.analysis import sampling
+
+    w = make_workload(workload, machine, n_threads=n_threads, scale=scale)
+    truth = sampling.exhaustive_page_hotness(w)
+    truth.setflags(write=False)
+    return truth
+
+
 def sampling_accuracy_trial(machine: MachineSpec, spec: TrialSpec) -> dict:
     """One (strategy, period) point of a sampling_accuracy scenario.
 
-    Runs an exhaustive ground-truth pass over the workload's op sources,
+    Takes the workload's exhaustive ground truth (:func:`ground_truth`),
     profiles the same workload with the named sampling strategy (the
     strategy rides on the backend's :class:`~repro.spe.config.SpeConfig`,
     not on :class:`~repro.nmo.env.NmoSettings`, so settings-based cache
@@ -304,7 +324,7 @@ def sampling_accuracy_trial(machine: MachineSpec, spec: TrialSpec) -> dict:
     """
     import dataclasses as _dc
 
-    from repro.analysis.sampling import exhaustive_page_hotness, score_sampling
+    from repro.analysis.sampling import score_sampling
 
     cfg = spec.config
     strategy = cfg["strategy"]
@@ -312,7 +332,7 @@ def sampling_accuracy_trial(machine: MachineSpec, spec: TrialSpec) -> dict:
         cfg["workload"], machine,
         n_threads=cfg["n_threads"], scale=cfg["scale"],
     )
-    truth = exhaustive_page_hotness(w, seed=spec.seed)
+    truth = ground_truth(cfg["workload"], cfg["n_threads"], cfg["scale"], machine)
     settings = NmoSettings(
         enable=True, mode=NmoMode.SAMPLING, period=cfg["period"]
     )

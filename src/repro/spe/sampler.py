@@ -18,19 +18,21 @@ Implements the hardware flow of paper Fig. 1 for one core:
 The sampler never materialises the full op stream: it draws sample
 *positions* arithmetically and asks an :class:`OpSource` to describe just
 those operations, which is what lets the reproduction sample workloads
-with 10^10+ operations.
+with 10^10+ operations.  :func:`sample_phase` runs these stages for every
+core of one code region at once, describing all cores' positions in one
+:meth:`OpSource.ops_at` call.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from repro.cpu.clock import GenericTimer
-from repro.cpu.ops import OpKind
+from repro.cpu.ops import BRANCH, LOAD, STORE
 from repro.cpu.pipeline import PipelineModel
 from repro.errors import SpeError
 from repro.spe.config import SpeConfig
@@ -55,11 +57,23 @@ class OpSource(Protocol):
     n_ops: int
     #: average cycles per decoded op (converts op index -> cycles)
     cpi: float
+    #: the thread whose stream this is, among its code region's streams
+    thread: int
 
     def ops_at(
-        self, idx: np.ndarray, rng: np.random.Generator
+        self,
+        idx: np.ndarray,
+        rng: np.random.Generator,
+        threads: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(kinds uint8, addrs uint64) of the ops at global indices."""
+        """(kinds uint8, addrs uint64) of the ops at global indices.
+
+        ``threads`` (an int array of ``idx``'s shape) names the thread
+        whose stream each index belongs to, so one call can describe
+        the sampled ops of every thread of the region; ``None`` means
+        this source's own stream.  A source holding a single stream
+        (:class:`TraceOpSource`) ignores it.
+        """
         ...
 
     def levels_at(
@@ -77,6 +91,9 @@ class OpSource(Protocol):
 class TraceOpSource:
     """Exact :class:`OpSource` over a materialised execution result."""
 
+    #: a trace is a single stream
+    thread = 0
+
     def __init__(self, kinds: np.ndarray, addrs: np.ndarray,
                  levels: np.ndarray, cpi: float, pc_base: int = 0x400000) -> None:
         self._kinds = np.asarray(kinds, dtype=np.uint8)
@@ -90,7 +107,7 @@ class TraceOpSource:
         self.cpi = float(cpi)
         self.pc_base = pc_base
 
-    def ops_at(self, idx, rng):
+    def ops_at(self, idx, rng, threads=None):
         return self._kinds[idx], self._addrs[idx]
 
     def levels_at(self, idx, kinds, addrs, rng):
@@ -309,11 +326,11 @@ class SpeSampler:
         cfg = self.config
         mask = np.zeros(kinds.shape, dtype=bool)
         if cfg.loads:
-            mask |= kinds == OpKind.LOAD
+            mask |= kinds == LOAD
         if cfg.stores:
-            mask |= kinds == OpKind.STORE
+            mask |= kinds == STORE
         if cfg.branches:
-            mask |= kinds == OpKind.BRANCH
+            mask |= kinds == BRANCH
         if cfg.min_latency > 0:
             mask &= total_lat >= cfg.min_latency
         return mask
@@ -322,9 +339,25 @@ class SpeSampler:
         self, source: OpSource, start_cycle: float = 0.0
     ) -> SamplerOutput:
         """Sample one op stream starting at ``start_cycle`` (core clock)."""
+        return sample_phase([self], [source], [start_cycle])[0]
+
+    def _positions(self, source: OpSource) -> np.ndarray:
+        """Stage 1: the indices the interval counter selects."""
         pos, self._carry = self.strategy.sample(
             source, self.period, self.config.jitter, self.rng, self._carry
         )
+        return pos
+
+    def _track(
+        self,
+        source: OpSource,
+        pos: np.ndarray,
+        kinds: np.ndarray,
+        addrs: np.ndarray,
+        start_cycle: float,
+    ) -> SamplerOutput:
+        """Stages 2-3 for the ops at ``pos``: levels, latencies, the
+        collision scan, the filter and the records."""
         n_selected = int(pos.size)
         duration = source.n_ops * source.cpi
         if n_selected == 0:
@@ -336,7 +369,6 @@ class SpeSampler:
                 n_filtered=0,
                 duration_cycles=duration,
             )
-        kinds, addrs = source.ops_at(pos, self.rng)
         levels = source.levels_at(pos, kinds, addrs, self.rng)
         dram_scale = float(getattr(source, "dram_latency_scale", 1.0))
         lat = self.pipeline.op_latencies(
@@ -381,3 +413,36 @@ class SpeSampler:
             n_filtered=n_filtered,
             duration_cycles=duration,
         )
+
+
+def sample_phase(
+    samplers: Sequence[SpeSampler],
+    sources: Sequence[OpSource],
+    start_cycles: Sequence[float],
+) -> list[SamplerOutput]:
+    """Sample one code region on several cores at once.
+
+    ``samplers[i]`` samples ``sources[i]``, its core's stream of the
+    region (for a workload phase, ``Workload.op_source(phase, i)``),
+    from core cycle ``start_cycles[i]``.  Each core draws from its own
+    RNG in a fixed order, positions, then levels, then latency jitter,
+    so its output is the same whichever cores share the step.  The
+    kinds and addresses at every core's positions come from one
+    :meth:`OpSource.ops_at` call on ``sources[0]``, told each
+    position's thread; the collision scan, the filter and the records
+    stay per core.
+    """
+    positions = [s._positions(src) for s, src in zip(samplers, sources)]
+    sizes = [p.size for p in positions]
+    threads = np.repeat([src.thread for src in sources], sizes)
+    # ops_at draws no random numbers: core 0's RNG only fills the argument
+    kinds, addrs = sources[0].ops_at(
+        np.concatenate(positions), samplers[0].rng, threads
+    )
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return [
+        s._track(src, pos, kinds[a:b], addrs[a:b], start)
+        for s, src, pos, start, a, b in zip(
+            samplers, sources, positions, start_cycles, bounds, bounds[1:]
+        )
+    ]

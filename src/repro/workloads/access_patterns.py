@@ -2,9 +2,11 @@
 
 Workloads compose their per-phase address functions from these
 primitives.  Every builder returns an ``AddrFn``: a deterministic,
-vectorised map from memory-op index (within a thread's phase stream) to
-a virtual address.  Determinism matters: the SPE sampler may evaluate
-any subset of indices, in any order, across trials.
+vectorised map from memory-op index (within a thread's phase stream)
+and thread id to a virtual address.  The thread id is one int or an
+array with one id per index, so a single call can cover every thread
+of a phase.  Determinism matters: the SPE sampler may evaluate any
+subset of indices, in any order, across trials.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.runtime.openmp import chunk_of
-from repro.workloads.base import AddrFn, hash_uniform
+from repro.workloads.base import AddrFn, hash_uniform, pick_threads
 
 
 def sequential(
@@ -31,9 +33,9 @@ def sequential(
     if n_elems <= 0 or elem_size <= 0 or passes <= 0:
         raise WorkloadError("n_elems, elem_size and passes must be positive")
 
-    def fn(mem_idx: np.ndarray, thread: int) -> np.ndarray:
+    def fn(mem_idx: np.ndarray, thread) -> np.ndarray:
         lo, hi = chunk_of(n_elems, n_threads, thread)
-        span = max(hi - lo, 1)
+        span = np.maximum(hi - lo, 1)
         e = lo + (np.asarray(mem_idx, dtype=np.int64) % span)
         return (np.uint64(base) + e.astype(np.uint64) * np.uint64(elem_size))
 
@@ -46,9 +48,9 @@ def strided(base: int, n_elems: int, elem_size: int, stride_elems: int,
     if stride_elems <= 0:
         raise WorkloadError("stride_elems must be positive")
 
-    def fn(mem_idx: np.ndarray, thread: int) -> np.ndarray:
+    def fn(mem_idx: np.ndarray, thread) -> np.ndarray:
         lo, hi = chunk_of(n_elems, n_threads, thread)
-        span = max(hi - lo, 1)
+        span = np.maximum(hi - lo, 1)
         e = lo + (np.asarray(mem_idx, dtype=np.int64) * stride_elems) % span
         return np.uint64(base) + e.astype(np.uint64) * np.uint64(elem_size)
 
@@ -60,7 +62,7 @@ def random_in(base: int, n_elems: int, elem_size: int, salt: int = 0) -> AddrFn:
     if n_elems <= 0:
         raise WorkloadError("n_elems must be positive")
 
-    def fn(mem_idx: np.ndarray, thread: int) -> np.ndarray:
+    def fn(mem_idx: np.ndarray, thread) -> np.ndarray:
         u = hash_uniform(np.asarray(mem_idx, dtype=np.int64), salt=salt + thread * 7919)
         e = (u * n_elems).astype(np.uint64)
         return np.uint64(base) + e * np.uint64(elem_size)
@@ -85,10 +87,10 @@ def local_window(
     if not 0.0 <= global_fraction <= 1.0:
         raise WorkloadError("global_fraction must be in [0, 1]")
 
-    def fn(mem_idx: np.ndarray, thread: int) -> np.ndarray:
+    def fn(mem_idx: np.ndarray, thread) -> np.ndarray:
         mi = np.asarray(mem_idx, dtype=np.int64)
         lo, hi = chunk_of(n_elems, n_threads, thread)
-        span = max(hi - lo, 1)
+        span = np.maximum(hi - lo, 1)
         centre = lo + mi % span
         jitter = ((hash_uniform(mi, salt=salt) - 0.5) * 2 * window).astype(np.int64)
         e = np.clip(centre + jitter, 0, n_elems - 1)
@@ -112,7 +114,7 @@ def round_robin(patterns: Sequence[AddrFn]) -> AddrFn:
         raise WorkloadError("round_robin needs at least one pattern")
     k = len(patterns)
 
-    def fn(mem_idx: np.ndarray, thread: int) -> np.ndarray:
+    def fn(mem_idx: np.ndarray, thread) -> np.ndarray:
         mi = np.asarray(mem_idx, dtype=np.int64)
         which = mi % k
         sub = mi // k
@@ -120,7 +122,7 @@ def round_robin(patterns: Sequence[AddrFn]) -> AddrFn:
         for w, p in enumerate(patterns):
             m = which == w
             if m.any():
-                out[m] = p(sub[m], thread)
+                out[m] = p(sub[m], pick_threads(thread, m))
         return out
 
     return fn
@@ -135,7 +137,7 @@ def weighted_mix(patterns: Sequence[tuple[AddrFn, float]], salt: int = 0) -> Add
         raise WorkloadError("weights must be positive")
     cdf = np.cumsum(weights / weights.sum())
 
-    def fn(mem_idx: np.ndarray, thread: int) -> np.ndarray:
+    def fn(mem_idx: np.ndarray, thread) -> np.ndarray:
         mi = np.asarray(mem_idx, dtype=np.int64)
         u = hash_uniform(mi, salt=salt + 101)
         which = np.searchsorted(cdf, u, side="right")
@@ -144,7 +146,7 @@ def weighted_mix(patterns: Sequence[tuple[AddrFn, float]], salt: int = 0) -> Add
         for w, (p, _wt) in enumerate(patterns):
             m = which == w
             if m.any():
-                out[m] = p(mi[m], thread)
+                out[m] = p(mi[m], pick_threads(thread, m))
         return out
 
     return fn

@@ -26,34 +26,50 @@ from typing import Callable
 
 import numpy as np
 
-from repro.cpu.ops import OpChunk, OpKind
+from repro.cpu.ops import FLOP, LOAD, OTHER, STORE, OpChunk
 from repro.errors import WorkloadError
 from repro.machine.spec import MachineSpec
 from repro.machine.statcache import AccessClass, StatCacheModel
 from repro.runtime.process import SimProcess
 
-#: Address-function signature: (mem-op indices, thread id) -> uint64 addrs.
-AddrFn = Callable[[np.ndarray, int], np.ndarray]
-#: Optional kind function: (mem-op indices, thread id) -> bool store mask.
-KindFn = Callable[[np.ndarray, int], np.ndarray]
+#: Address-function signature: (mem-op indices, thread ids) -> uint64
+#: addrs.  The thread ids are one int shared by every index, or an int
+#: array of the indices' shape (one call covering several threads'
+#: streams); both forms give the same address for the same (index,
+#: thread) pair.
+AddrFn = Callable[[np.ndarray, "int | np.ndarray"], np.ndarray]
+#: Optional kind function: (mem-op indices, thread ids) -> bool store
+#: mask, with thread ids as for :data:`AddrFn`.
+KindFn = Callable[[np.ndarray, "int | np.ndarray"], np.ndarray]
 
 
-def hash_uniform(idx: np.ndarray, salt: int = 0) -> np.ndarray:
+def hash_uniform(idx: np.ndarray, salt: int | np.ndarray = 0) -> np.ndarray:
     """Deterministic pseudo-uniform floats in [0, 1) from op indices.
 
     A splitmix64-style mix keeps address/kind functions reproducible
     across calls (the same op index always maps to the same access),
-    which property tests rely on.
+    which property tests rely on.  ``salt`` is one non-negative int or
+    an array of them, one per index.
     """
-    x = (np.asarray(idx, dtype=np.uint64) + np.uint64(salt)) * np.uint64(
-        0x9E3779B97F4A7C15
-    )
+    x = (
+        np.asarray(idx, dtype=np.uint64) + np.asarray(salt, dtype=np.uint64)
+    ) * np.uint64(0x9E3779B97F4A7C15)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return x.astype(np.float64) / float(2**64)
+
+
+def pick_threads(thread, mask: np.ndarray):
+    """The thread ids of the ops ``mask`` selects.
+
+    For address and kind functions that hand a subset of their indices
+    to a sub-pattern: ``thread`` is one id (kept as is) or an array of
+    per-index ids (masked alongside the indices).
+    """
+    return thread if np.ndim(thread) == 0 else thread[mask]
 
 
 @dataclass
@@ -149,9 +165,26 @@ class Phase:
     def mem_fraction(self) -> float:
         return 1.0 / self.group
 
+    def mem_slots(self, mem_idx: np.ndarray) -> np.ndarray:
+        """Slot of each op group's memory op within the group.
+
+        The slot is pseudo-randomised per group.  Real instruction
+        streams are not strictly periodic; a fixed slot would alias with
+        period-divisible sampling intervals and bias the op-type mix of
+        the samples (the exact artefact SPE's hardware interval
+        perturbation exists to counter).  A hash that rounds up to 1.0
+        gives slot ``group``, which no op occupies: that group has no
+        memory op.
+        """
+        return (hash_uniform(mem_idx, salt=229) * self.group).astype(np.int64)
+
 
 class PhaseOpSource:
     """Closed-form :class:`~repro.spe.sampler.OpSource` for one phase/thread.
+
+    :meth:`ops_at` also describes other threads' streams of the same
+    phase when given their thread ids, which lets one call cover every
+    thread's sampled positions.
 
     ``placement`` (a :class:`~repro.machine.tiers.PagePlacement`, set by
     :meth:`Workload.attach_tiering`) remaps DRAM-serviced samples to the
@@ -176,41 +209,38 @@ class PhaseOpSource:
         self.cpi = phase.cpi
         self.dram_latency_scale = phase.dram_latency_scale
 
-    def ops_at(self, idx: np.ndarray, rng: np.random.Generator):
+    def ops_at(self, idx: np.ndarray, rng: np.random.Generator, threads=None):
+        """(kinds uint8, addrs uint64) of the ops at ``idx``.
+
+        ``threads`` gives the thread id of each index (an int array of
+        ``idx``'s shape); ``None`` means this source's own thread.
+        """
         idx = np.asarray(idx, dtype=np.int64)
+        thread = self.thread if threads is None else threads
         p = self.phase
         pos = idx % p.group
         mem_idx = idx // p.group
-        # The memory op's slot within each group is pseudo-randomised per
-        # group.  Real instruction streams are not strictly periodic; a
-        # fixed slot would alias with period-divisible sampling intervals
-        # and bias the op-type mix of the samples (the exact artefact
-        # SPE's hardware interval perturbation exists to counter).
-        mem_slot = (
-            hash_uniform(mem_idx, salt=229) * p.group
-        ).astype(np.int64)
+        mem_slot = p.mem_slots(mem_idx)
         is_mem = pos == mem_slot
-        kinds = np.full(idx.shape, OpKind.OTHER, dtype=np.uint8)
+        kinds = np.full(idx.shape, OTHER, dtype=np.uint8)
         if p.flops_per_group:
             rel = (pos - mem_slot) % p.group
-            kinds[(rel >= 1) & (rel <= p.flops_per_group)] = OpKind.FLOP
-        if is_mem.any():
-            mi = mem_idx[is_mem]
-            if p.kind_fn is not None:
-                stores = p.kind_fn(mi, self.thread)
-            else:
-                stores = hash_uniform(mi, salt=17) < p.store_fraction
-            kinds[is_mem] = np.where(stores, OpKind.STORE, OpKind.LOAD).astype(
-                np.uint8
-            )
+            kinds[(rel >= 1) & (rel <= p.flops_per_group)] = FLOP
         addrs = np.zeros(idx.shape, dtype=np.uint64)
         if is_mem.any():
-            addrs[is_mem] = p.addr_fn(mem_idx[is_mem], self.thread)
+            mi = mem_idx[is_mem]
+            th = pick_threads(thread, is_mem)
+            if p.kind_fn is not None:
+                stores = p.kind_fn(mi, th)
+            else:
+                stores = hash_uniform(mi, salt=17) < p.store_fraction
+            kinds[is_mem] = np.where(stores, STORE, LOAD)
+            addrs[is_mem] = p.addr_fn(mi, th)
         return kinds, addrs
 
     def levels_at(self, idx, kinds, addrs, rng: np.random.Generator):
         levels = np.zeros(np.asarray(idx).shape, dtype=np.uint8)
-        is_mem = (kinds == OpKind.LOAD) | (kinds == OpKind.STORE)
+        is_mem = (kinds == LOAD) | (kinds == STORE)
         n_mem = int(is_mem.sum())
         if n_mem:
             levels[is_mem] = self.stat.draw_levels(

@@ -107,7 +107,7 @@ class StreamWorkload(Workload):
             ]
         )
 
-        def triad_kinds(mem_idx: np.ndarray, thread: int) -> np.ndarray:
+        def triad_kinds(mem_idx: np.ndarray, thread) -> np.ndarray:
             # the third access of each element group is the store to a[i]
             return (np.asarray(mem_idx, dtype=np.int64) % 3) == 2
 

@@ -13,8 +13,12 @@ from repro.analysis.sampling import (
     sample_rate_deviation,
     score_sampling,
 )
+from repro.cpu.ops import OpKind
 from repro.errors import AnalysisError
+from repro.machine.spec import ampere_altra_max
 from repro.machine.tiers import page_hotness
+from repro.workloads.base import Phase
+from repro.workloads.registry import make_workload, workload_names
 from repro.workloads.stream import StreamWorkload
 
 
@@ -156,30 +160,84 @@ class TestScoreSampling:
         assert all(np.isscalar(v) for v in row.values())
 
 
+def all_ops_page_hotness(workload) -> np.ndarray:
+    """Reference ground truth: every op of every phase x thread stream
+    through ``PhaseOpSource.ops_at``, counting its loads and stores."""
+    rng = np.random.default_rng(0)
+    mem_addrs = []
+    for phase in workload.phases:
+        for tidx in range(workload.phase_threads(phase)):
+            src = workload.op_source(phase, tidx)
+            kinds, addrs = src.ops_at(np.arange(src.n_ops), rng)
+            mem = (kinds == OpKind.LOAD) | (kinds == OpKind.STORE)
+            mem_addrs.append(addrs[mem])
+    return page_hotness(
+        workload.process.address_space, np.concatenate(mem_addrs)
+    )
+
+
+#: tiny runs of every registered workload at 2+ threads (3 leaves a
+#: remainder in the OpenMP chunking)
+TINY = {
+    "bfs": dict(n_threads=3, scale=1 / 256, repeats=2),
+    "cfd": dict(n_threads=2, scale=1 / 8192, iterations=1),
+    "inmem_analytics": dict(n_threads=3, scale=1e-6),
+    "pagerank": dict(n_threads=2, scale=2e-6),
+    "stream": dict(n_threads=3, scale=1 / 8192, iterations=1),
+}
+
+
 class TestExhaustivePageHotness:
     def test_counts_align_with_page_hotness(self, tiny):
         w = StreamWorkload(tiny, n_threads=2, n_elems=1 << 12, iterations=1)
-        truth = exhaustive_page_hotness(w, seed=0)
+        truth = exhaustive_page_hotness(w)
         direct = page_hotness(w.process.address_space, np.zeros(0, np.uint64))
         assert truth.shape == direct.shape
         assert truth.dtype == np.int64
         assert truth.sum() > 0
 
-    def test_deterministic_per_seed(self, tiny):
+    def test_deterministic(self, tiny):
         w = StreamWorkload(tiny, n_threads=2, n_elems=1 << 12, iterations=1)
-        a = exhaustive_page_hotness(w, seed=3)
-        b = exhaustive_page_hotness(w, seed=3)
+        a = exhaustive_page_hotness(w)
+        b = exhaustive_page_hotness(w)
         assert (a == b).all()
 
     def test_chunking_does_not_change_counts(self, tiny):
-        w = StreamWorkload(tiny, n_threads=1, n_elems=1 << 12, iterations=1)
-        whole = exhaustive_page_hotness(w, seed=0, chunk=1 << 22)
-        tiny_chunks = exhaustive_page_hotness(w, seed=0, chunk=777)
+        w = StreamWorkload(tiny, n_threads=3, n_elems=1 << 12, iterations=1)
+        whole = exhaustive_page_hotness(w, chunk=1 << 22)
+        tiny_chunks = exhaustive_page_hotness(w, chunk=777)
         assert (whole == tiny_chunks).all()
+
+    def test_every_workload_is_covered(self):
+        assert set(TINY) == set(workload_names())
+
+    @pytest.mark.parametrize("name", sorted(TINY))
+    def test_equals_the_all_ops_enumeration(self, name):
+        w = make_workload(name, ampere_altra_max(), **TINY[name])
+        truth = exhaustive_page_hotness(w)
+        assert truth.dtype == np.int64
+        assert np.array_equal(truth, all_ops_page_hotness(w))
+
+    def test_a_group_without_a_memory_op_is_dropped(
+        self, tiny, monkeypatch
+    ):
+        # a slot hash that rounds up to 1.0 puts a group's memory op at
+        # slot ``group``, outside the group: both walks must skip it
+        mem_slots = Phase.mem_slots
+
+        def rounded_up(self, mem_idx):
+            slots = mem_slots(self, mem_idx)
+            return np.where(mem_idx % 5 == 3, self.group, slots)
+
+        monkeypatch.setattr(Phase, "mem_slots", rounded_up)
+        w = StreamWorkload(tiny, n_threads=3, n_elems=1 << 12, iterations=1)
+        truth = exhaustive_page_hotness(w)
+        assert np.array_equal(truth, all_ops_page_hotness(w))
+        assert truth.sum() == pytest.approx(0.8 * w.total_mem_ops(), rel=0.01)
 
     def test_matches_mem_op_budget(self, tiny):
         w = StreamWorkload(tiny, n_threads=2, n_elems=1 << 12, iterations=1)
-        truth = exhaustive_page_hotness(w, seed=0)
+        truth = exhaustive_page_hotness(w)
         budget = sum(
             phase.n_mem_ops * w.phase_threads(phase) for phase in w.phases
         )

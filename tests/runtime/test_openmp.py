@@ -45,10 +45,17 @@ class TestChunkOf:
         full = static_chunks(n, t)
         for i in range(t):
             assert chunk_of(n, t, i) == full[i]
+        ids = np.arange(t).repeat(2)
+        start, stop = chunk_of(n, t, ids)
+        assert list(zip(start.tolist(), stop.tolist())) == [
+            full[i] for i in ids
+        ]
 
     def test_out_of_team(self):
         with pytest.raises(WorkloadError):
             chunk_of(10, 2, 5)
+        with pytest.raises(WorkloadError, match="thread -1 outside"):
+            chunk_of(10, 2, np.array([0, -1, 1]))
 
 
 class TestInterleaved:

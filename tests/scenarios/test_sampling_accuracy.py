@@ -1,9 +1,13 @@
 """The sampling_accuracy scenario kind: planning, validation, execution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.analysis.sampling as analysis_sampling
 from repro.errors import ScenarioError
+from repro.machine.spec import small_test_machine
 from repro.orchestrate import ResultCache
 from repro.scenarios import (
     SamplingSpec,
@@ -14,6 +18,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.presets import _sampling
 from repro.scenarios.report import render_results
+from repro.scenarios.trials import ground_truth, sampling_accuracy_trial
 from repro.spe.strategies import STRATEGY_NAMES
 
 BIAS_COLUMNS = (
@@ -168,3 +173,48 @@ class TestExecution:
         )
         assert ranking == ranking2
         assert set(ranking) == set(STRATEGY_NAMES)
+
+
+class TestGroundTruthMemo:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Calls of ``exhaustive_page_hotness``, from a cleared memo."""
+        calls = []
+        walk = analysis_sampling.exhaustive_page_hotness
+
+        def counted(workload, *args, **kwargs):
+            calls.append(workload.name)
+            return walk(workload, *args, **kwargs)
+
+        monkeypatch.setattr(
+            analysis_sampling, "exhaustive_page_hotness", counted
+        )
+        ground_truth.cache_clear()
+        yield calls
+        ground_truth.cache_clear()
+
+    def test_second_trial_reuses_the_truth(self, walks):
+        spec = small_zoo()
+        machine = spec.machine_spec()
+        rows = [
+            sampling_accuracy_trial(machine, t) for t in Session().plan(spec)
+        ]
+        assert len(rows) == 2
+        assert walks == ["stream"]
+        assert [r["strategy"] for r in rows] == ["periodic", "page_hash"]
+
+    def test_truth_is_read_only_and_bounded(self, walks):
+        truth = ground_truth("stream", 2, 1 / 4096, small_test_machine())
+        assert not truth.flags.writeable
+        with pytest.raises(ValueError):
+            truth[0] = 1
+        assert ground_truth.cache_info().maxsize == 4
+
+    def test_same_named_machine_misses(self, walks):
+        machine = small_test_machine()
+        faster = dataclasses.replace(machine, frequency_hz=2e9)
+        assert faster.name == machine.name
+        ground_truth("stream", 2, 1 / 4096, machine)
+        ground_truth("stream", 2, 1 / 4096, faster)
+        ground_truth("stream", 2, 1 / 4096, machine)
+        assert walks == ["stream", "stream"]

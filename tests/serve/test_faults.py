@@ -22,6 +22,18 @@ from repro.scenarios.trials import TRIAL_FNS
 from repro.serve import ProfilingServer, ServerClient, protocol
 
 
+def write_pid(path):
+    """Publish this process's pid at ``path`` in one step.
+
+    The tests read a pid file as soon as it exists, so it is written
+    under a temporary name (which the ``pid-*`` globs do not match) and
+    renamed into place: a reader never sees it empty.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(str(os.getpid()))
+    os.replace(tmp, path)
+
+
 def flaky_trial(machine, tspec):
     """Announce the worker pid, then stall — but only the first time.
 
@@ -32,9 +44,7 @@ def flaky_trial(machine, tspec):
     marker = Path(kw["scratch"]) / f"ran-{tspec.seed}"
     if not marker.exists():
         marker.write_text(str(os.getpid()))
-        (Path(kw["scratch"]) / f"pid-{tspec.seed}").write_text(
-            str(os.getpid())
-        )
+        write_pid(Path(kw["scratch"]) / f"pid-{tspec.seed}")
         time.sleep(kw.get("stall", 60))
     return {"metric": float(tspec.seed)}
 
@@ -44,7 +54,7 @@ def stalling_trial(machine, tspec):
     kw = tspec.config["kwargs"]
     scratch = Path(kw["scratch"])
     attempt = len(list(scratch.glob(f"pid-{tspec.seed}-*")))
-    (scratch / f"pid-{tspec.seed}-{attempt}").write_text(str(os.getpid()))
+    write_pid(scratch / f"pid-{tspec.seed}-{attempt}")
     time.sleep(kw.get("stall", 60))
     return {"metric": float(tspec.seed)}
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.access_patterns import (
@@ -12,6 +14,7 @@ from repro.workloads.access_patterns import (
     strided,
     weighted_mix,
 )
+from repro.workloads.stream import StreamWorkload
 
 
 class TestSequential:
@@ -133,3 +136,65 @@ class TestCombinators:
         pa = sequential(0, 10, 8)
         with pytest.raises(WorkloadError):
             weighted_mix([(pa, 0.0)])
+
+
+def every_builder(n_elems, n_threads):
+    """One function from each builder, plus nested combinators."""
+    seq = sequential(0x1000, n_elems, 8, n_threads=n_threads, passes=2)
+    strd = strided(0x200000, n_elems, 4, stride_elems=3, n_threads=n_threads)
+    rnd = random_in(0x400000, n_elems, 8, salt=5)
+    win = local_window(
+        0x800000, n_elems, 4, window=7, n_threads=n_threads, salt=3,
+        global_fraction=0.3,
+    )
+    rr = round_robin([seq, rnd, win])
+    return {
+        "sequential": seq,
+        "strided": strd,
+        "random_in": rnd,
+        "local_window": win,
+        "round_robin": rr,
+        "weighted_mix": weighted_mix(
+            [(strd, 1.0), (rr, 2.0), (round_robin([win, seq]), 0.5)],
+            salt=9,
+        ),
+    }
+
+
+def assert_one_call_matches_per_thread_calls(fn, mem_idx, threads):
+    got = fn(mem_idx, threads)
+    want = None
+    for t in np.unique(threads):
+        m = threads == t
+        part = fn(mem_idx[m], int(t))
+        if want is None:
+            want = np.empty(mem_idx.shape, dtype=part.dtype)
+        want[m] = part
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestThreadIdArrays:
+    """A call with one thread id per index equals the per-thread calls."""
+
+    @given(
+        st.integers(1, 8), st.integers(0, 7), st.integers(0, 2**32 - 1)
+    )
+    @example(3, 2, 0)  # 152 elements over 3 threads: a remainder chunk
+    @settings(max_examples=40, deadline=None)
+    def test_every_builder(self, n_threads, extra, seed):
+        n_elems = 50 * n_threads + extra
+        rng = np.random.default_rng(seed)
+        mem_idx = rng.integers(0, 4 * n_elems, size=300)
+        threads = rng.integers(0, n_threads, size=300)
+        for fn in every_builder(n_elems, n_threads).values():
+            assert_one_call_matches_per_thread_calls(fn, mem_idx, threads)
+
+    def test_stream_kind_and_address_functions(self, tiny):
+        w = StreamWorkload(tiny, n_threads=3, n_elems=1000, iterations=1)
+        rng = np.random.default_rng(4)
+        mem_idx = rng.integers(0, w.phases[0].n_mem_ops, size=500)
+        threads = rng.integers(0, 3, size=500)
+        for phase in w.phases:  # init, then the triad
+            for fn in (phase.kind_fn, phase.addr_fn):
+                assert_one_call_matches_per_thread_calls(fn, mem_idx, threads)
