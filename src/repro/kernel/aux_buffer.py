@@ -14,9 +14,20 @@ and read back out; head/tail are free-running counters like the real ABI.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from repro.errors import BufferError_
+
+
+def zeroed_pages(size: int) -> np.ndarray:
+    """A writable uint8 array of ``size`` zero bytes in a private
+    anonymous mapping, as the kernel backs a perf mmap: pages are
+    zero-filled on first touch, so a session's buffers cost neither a
+    fill nor resident memory for bytes never written, and the mapping
+    goes when the array does."""
+    return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE), np.uint8)
 
 
 class AuxBuffer:
@@ -36,7 +47,7 @@ class AuxBuffer:
             raise BufferError_(
                 f"watermark {self.watermark} must be in (0, {self.size}]"
             )
-        self._buf = np.zeros(self.size, dtype=np.uint8)
+        self._buf = zeroed_pages(self.size)
         self.head = 0  # free-running producer offset
         self.tail = 0  # free-running consumer offset
         self._last_signal = 0  # head value at the last watermark crossing

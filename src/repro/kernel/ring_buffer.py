@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import BufferError_
+from repro.kernel.aux_buffer import zeroed_pages
 from repro.kernel.records import HEADER_SIZE, LostRecord, Record, parse_record
 
 
@@ -59,7 +60,7 @@ class RingBuffer:
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
             raise BufferError_("page size must be a positive power of two")
         self.size = self.n_pages * self.page_size
-        self._buf = np.zeros(self.size, dtype=np.uint8)
+        self._buf = zeroed_pages(self.size)
         self.meta.data_offset = self.page_size
         self.meta.data_size = self.size
         self.records_written = 0

@@ -9,10 +9,11 @@ application) and the Table I environment settings, :class:`NmoProfiler`
 2. registers the workload's data objects via ``nmo_tag_addr`` and its
    tagged phases via ``nmo_start``/``nmo_stop``,
 3. runs the workload phase by phase: the SPE sampler draws every
-   thread's samples of a phase in one step from the closed-form op
-   streams, then per thread the driver routes the 64-byte records
-   through aux/ring buffers (charging interrupt and processing cycles
-   to the interrupted thread), and the consumer decodes them,
+   thread's samples of a phase and encodes their 64-byte records in one
+   step from the closed-form op streams, then per thread the driver
+   routes the records through aux/ring buffers (charging interrupt and
+   processing cycles to the interrupted thread), and the consumer
+   decodes them,
 4. tracks capacity (RSS) and bandwidth (bus-event) time series,
 5. converts SPE timestamps to perf time via the metadata page
    (``time_zero/shift/mult``) and assembles a :class:`ProfileResult`
@@ -259,17 +260,18 @@ class NmoProfiler:
                 ann.nmo_start(tag, t0)
                 open_tag = tag
             if sampling:
+                live = [sessions[t] for t in range(active)]
                 outs = sample_phase(
-                    [sessions[t].sampler for t in range(active)],
+                    [sess.sampler for sess in live],
                     [w.op_source(phase, t) for t in range(active)],
                     [team[t].cycles for t in range(active)],
+                    encode=[not sess.driver.inert for sess in live],
                 )
             for tidx in range(active):
                 thread = team[tidx]
                 if sampling:
-                    sess = sessions[tidx]
                     out = outs[tidx]
-                    res = sess.driver.feed(out)
+                    res = live[tidx].driver.feed(out)
                     st = stats[tidx]
                     st.n_selected += out.n_selected
                     st.n_collisions += out.n_collisions

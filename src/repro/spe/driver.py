@@ -35,15 +35,16 @@ from repro.kernel.records import (
     AuxRecordBatch,
     pack_aux_records,
 )
-from repro.spe.packets import (
-    RECORD_SIZE,
-    DecodeStats,
-    decode_stream,
-    encode_records,
-)
+from repro.spe.packets import RECORD_SIZE, DecodeStats, decode_stream
 from repro.spe.records import SampleBatch
 from repro.spe.refpath import reference_active
 from repro.spe.sampler import SamplerOutput
+
+#: what a feed that drains nothing delivers (shared, read-only)
+_NO_SAMPLES = SampleBatch()
+for _column in SampleBatch._COLUMNS:
+    getattr(_NO_SAMPLES, _column).setflags(write=False)
+_NO_DECODE = DecodeStats(0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,22 @@ class SpeDriver:
         self._prev_lost = False
         self._announced_collisions = False
         self._idle_charged = False
+        #: records torn around each buffer-management pass
+        self._loss_window = max(
+            0, int(round(self.cost.service_loss_records * self.cost.service_loss_scale))
+        )
 
     @property
     def working(self) -> bool:
         """Whether the aux buffer is large enough for SPE to operate."""
         assert self.event.aux is not None
         return self.event.aux.n_pages >= self.cost.min_working_pages
+
+    @property
+    def inert(self) -> bool:
+        """Whether every record fed to the session is lost unwritten (the
+        aux buffer is too small, or the event is disabled)."""
+        return not self.working or not self.event.enabled
 
     def _service(self, aux, ring, aux_records, charge: bool) -> tuple[
         SampleBatch, DecodeStats, float
@@ -247,7 +258,8 @@ class SpeDriver:
     def feed(self, out: SamplerOutput) -> DriverResult:
         """Stream one phase's sampler output into the session.
 
-        Records accumulate in the aux buffer across calls; whenever the
+        The sampler's encoded records (in arrival order, as SPE writes
+        them) accumulate in the aux buffer across calls; whenever the
         watermark is crossed, the kernel posts ``PERF_RECORD_AUX``, the
         consumer drains and decodes the bytes (they really round-trip
         through the buffer and packet decoder), interrupt and processing
@@ -282,7 +294,7 @@ class SpeDriver:
         self.total_collisions += out.n_collisions
         n = out.n_kept
         self.total_input += n
-        if not self.working or not self.event.enabled:
+        if self.inert:
             # session armed but inert: everything is lost; a one-off
             # fixed cost covers the armed-but-idle monitoring machinery
             self.total_lost += n
@@ -291,7 +303,7 @@ class SpeDriver:
                 idle = self.cost.idle_overhead_cycles
                 self._idle_charged = True
             return DriverResult(
-                batch=SampleBatch(),
+                batch=_NO_SAMPLES,
                 n_input=n,
                 n_written=0,
                 n_lost_stall=n,
@@ -301,7 +313,7 @@ class SpeDriver:
             )
         if n == 0:
             return DriverResult(
-                batch=SampleBatch(),
+                batch=_NO_SAMPLES,
                 n_input=0,
                 n_written=0,
                 n_lost_stall=0,
@@ -309,6 +321,8 @@ class SpeDriver:
                 overhead_cycles=0.0,
                 truncated_records=0,
             )
+        if out.records is None:
+            raise SpeError("a working session needs the sampler's encoded records")
         return None
 
     def _reference_feed(self, out: SamplerOutput) -> DriverResult:
@@ -322,15 +336,10 @@ class SpeDriver:
         if early is not None:
             return early
         n = out.n_kept
-
-        order = np.argsort(out.arrival_cycles, kind="stable")
-        batch = out.batch.select(order)
-        encoded = encode_records(batch)
+        encoded = out.records
 
         wm_rec = max(1, aux.watermark // RECORD_SIZE)
-        loss_window = max(
-            0, int(round(self.cost.service_loss_records * self.cost.service_loss_scale))
-        )
+        loss_window = self._loss_window
         delivered: list[SampleBatch] = []
         aux_records: list[AuxRecord] = []
         overhead = 0.0
@@ -399,11 +408,12 @@ class SpeDriver:
     def _planned_feed(self, out: SamplerOutput) -> DriverResult:
         """Epoch-planned :meth:`feed`: one plan, bulk buffer round-trips.
 
-        Executes the :class:`FeedPlan` with a single encode, one paced
-        aux-buffer stream (:meth:`AuxBuffer.stream_paced`), one packed
-        ring write, and one decode over every serviced byte — the bytes
-        still physically round-trip the aux ring, just without a Python
-        iteration per watermark crossing.
+        Executes the :class:`FeedPlan` with one paced aux-buffer stream
+        of the sampler's encoded rows (:meth:`AuxBuffer.stream_paced`),
+        one packed ring write, and one decode over every serviced byte —
+        the bytes still physically round-trip the aux ring, just without
+        a Python iteration per watermark crossing.  A feed that crosses
+        no watermark costs the plan and one ring write.
         """
         aux = self.event.aux
         ring = self.event.ring
@@ -411,114 +421,104 @@ class SpeDriver:
         early = self._preamble(out)
         if early is not None:
             return early
-        n = out.n_kept
-
-        order = np.argsort(out.arrival_cycles, kind="stable")
-        batch = out.batch.select(order)
-        encoded = encode_records(batch)
+        records = out.records
+        n = records.shape[0]
 
         wm_rec = max(1, aux.watermark // RECORD_SIZE)
-        loss_window = max(
-            0, int(round(self.cost.service_loss_records * self.cost.service_loss_scale))
-        )
+        loss_window = self._loss_window
         plan = plan_feed_epochs(
             n, wm_rec, self._pending_rec, self._pending_loss, loss_window
         )
         n_services = plan.n_services
         wm_bytes = wm_rec * RECORD_SIZE
+        urc = self.cost.user_record_cycles
         carry_rec = self._pending_rec
+        self._pending_rec = plan.pending_rec_end
+        self._pending_loss = plan.pending_loss_end
+        self.total_lost += plan.lost
+        self.total_written += plan.written
+        if n_services == 0:
+            aux.stream_paced(
+                records[plan.d0 :].reshape(-1), n_drains=0,
+                drain_bytes=wm_bytes, return_signals=False,
+            )
+            self._prev_lost = self._prev_lost or plan.d0 > 0
+            return DriverResult(
+                batch=_NO_SAMPLES,
+                n_input=n,
+                n_written=plan.written,
+                n_lost_stall=plan.lost,
+                n_wakeups=0,
+                overhead_cycles=plan.written * urc if plan.written else 0.0,
+                truncated_records=0,
+                decode=_NO_DECODE,
+            )
 
-        rows = encoded[feed_written_mask(plan)]
-
+        rows = records[feed_written_mask(plan)]
         first_lost = self._prev_lost or plan.d0 > 0
         first_flags = PERF_AUX_FLAG_TRUNCATED if first_lost else 0
         later_flags = PERF_AUX_FLAG_TRUNCATED if loss_window > 0 else 0
-        if n_services and self.total_collisions and not self._announced_collisions:
+        if self.total_collisions and not self._announced_collisions:
             first_flags |= PERF_AUX_FLAG_COLLISION
             self._announced_collisions = True
-        aux_records: list[AuxRecord] | AuxRecordBatch = []
-        truncated = 0
-        if n_services:
-            # bytes drained this feed: the sub-watermark carry already in
-            # the ring plus this feed's writes, minus the new trailing
-            # carry — the carried view must be decoded *before* the bulk
-            # write below can lap it; decode_stream consumes eagerly and
-            # never materialises the concatenated stream
-            served = rows[: n_services * wm_rec - carry_rec]
-            chunks = []
-            if carry_rec:
-                chunks.append(aux.read_view(aux.tail, carry_rec * RECORD_SIZE))
-            chunks.append(served.reshape(-1))
-            got, stats = decode_stream(chunks)
-            # every drain is (signal_base + k*watermark, watermark) — the
-            # signals come from one arange, not a tuple per wakeup
-            base = aux.signal_base
-            aux.stream_paced(
-                rows.reshape(-1),
-                n_drains=n_services,
-                drain_bytes=wm_bytes,
-                return_signals=False,
-            )
-            offsets = np.uint64(base) + np.arange(
-                n_services, dtype=np.uint64
-            ) * np.uint64(wm_bytes)
-            flags = np.full(n_services, later_flags, dtype=np.uint64)
-            flags[0] = first_flags
-            ring.write_records_packed(pack_aux_records(offsets, wm_bytes, flags))
-            aux_records = AuxRecordBatch(
-                offsets,
-                np.full(n_services, wm_bytes, dtype=np.uint64),
-                flags,
-            )
-            self.event.wakeups += n_services
-            self.total_wakeups += n_services
-            truncated = int(first_lost) + (n_services - 1) * int(loss_window > 0)
-            decode_stats = DecodeStats(
-                n_records=stats.n_records,
-                n_valid=stats.n_valid,
-                n_skipped=stats.n_skipped,
-                trailing_bytes=0,
-            )
-        else:
-            got = SampleBatch()
-            decode_stats = DecodeStats(0, 0, 0, 0)
-            aux.stream_paced(
-                rows.reshape(-1), n_drains=0, drain_bytes=wm_bytes,
-                return_signals=False,
-            )
+        # bytes drained this feed: the sub-watermark carry already in the
+        # ring plus this feed's writes, minus the new trailing carry — the
+        # carried view must be decoded *before* the bulk write below can
+        # lap it; decode_stream consumes eagerly and never materialises
+        # the concatenated stream
+        served = rows[: n_services * wm_rec - carry_rec]
+        chunks = []
+        if carry_rec:
+            chunks.append(aux.read_view(aux.tail, carry_rec * RECORD_SIZE))
+        chunks.append(served.reshape(-1))
+        got, stats = decode_stream(chunks)
+        # every drain is (signal_base + k*watermark, watermark) — the
+        # signals come from one arange, not a tuple per wakeup
+        base = aux.signal_base
+        aux.stream_paced(
+            rows.reshape(-1),
+            n_drains=n_services,
+            drain_bytes=wm_bytes,
+            return_signals=False,
+        )
+        offsets = np.uint64(base) + np.arange(
+            n_services, dtype=np.uint64
+        ) * np.uint64(wm_bytes)
+        flags = np.full(n_services, later_flags, dtype=np.uint64)
+        flags[0] = first_flags
+        ring.write_records_packed(pack_aux_records(offsets, wm_bytes, flags))
+        self.event.wakeups += n_services
+        self.total_wakeups += n_services
+        self._prev_lost = plan.d_tail > 0
 
         # overhead accumulates in the reference's exact order (per-epoch
         # record processing, then the service IRQ): np.cumsum runs the
         # same sequential float64 additions, so the result is bit-equal
-        urc = self.cost.user_record_cycles
-        if n_services == 0:
-            overhead = plan.written * urc if plan.written else 0.0
-        else:
-            terms = np.empty(2 * n_services + 1, dtype=np.float64)
-            terms[0] = plan.w_first * urc
-            terms[1 : 2 * n_services : 2] = self.cost.irq_cycles
-            terms[2 : 2 * n_services : 2] = wm_rec * urc
-            terms[2 * n_services] = plan.w_tail * urc
-            overhead = float(np.cumsum(terms)[-1])
-
-        self._pending_rec = plan.pending_rec_end
-        self._pending_loss = plan.pending_loss_end
-        if n_services:
-            self._prev_lost = plan.d_tail > 0
-        else:
-            self._prev_lost = self._prev_lost or plan.d0 > 0
-        self.total_lost += plan.lost
-        self.total_written += plan.written
+        terms = np.empty(2 * n_services + 1, dtype=np.float64)
+        terms[0] = plan.w_first * urc
+        terms[1 : 2 * n_services : 2] = self.cost.irq_cycles
+        terms[2 : 2 * n_services : 2] = wm_rec * urc
+        terms[2 * n_services] = plan.w_tail * urc
         return DriverResult(
             batch=got,
             n_input=n,
             n_written=plan.written,
             n_lost_stall=plan.lost,
             n_wakeups=n_services,
-            overhead_cycles=overhead,
-            truncated_records=truncated,
-            decode=decode_stats,
-            aux_records=aux_records,
+            overhead_cycles=float(np.cumsum(terms)[-1]),
+            truncated_records=int(first_lost)
+            + (n_services - 1) * int(loss_window > 0),
+            decode=DecodeStats(
+                n_records=stats.n_records,
+                n_valid=stats.n_valid,
+                n_skipped=stats.n_skipped,
+                trailing_bytes=0,
+            ),
+            aux_records=AuxRecordBatch(
+                offsets,
+                np.full(n_services, wm_bytes, dtype=np.uint64),
+                flags,
+            ),
         )
 
     def flush(self) -> DriverResult:
@@ -529,7 +529,7 @@ class SpeDriver:
         aux_records: list[AuxRecord] = []
         if not self.working or aux.pending_signal() <= 0:
             return DriverResult(
-                batch=SampleBatch(),
+                batch=_NO_SAMPLES,
                 n_input=0,
                 n_written=0,
                 n_lost_stall=0,

@@ -12,15 +12,18 @@ Implements the hardware flow of paper Fig. 1 for one core:
    (paper §VII-A),
 3. surviving samples pass the **filter** (operation type, minimum
    latency); NMO's memory profiling keeps loads and stores only,
-4. filtered-in samples become 64-byte records destined for the aux
-   buffer (handled by :mod:`repro.spe.driver`).
+4. filtered-in samples become 64-byte records, in the order they
+   complete, which the driver (:mod:`repro.spe.driver`) writes to the
+   core's aux buffer.
 
 The sampler never materialises the full op stream: it draws sample
 *positions* arithmetically and asks an :class:`OpSource` to describe just
 those operations, which is what lets the reproduction sample workloads
-with 10^10+ operations.  :func:`sample_phase` runs these stages for every
-core of one code region at once, describing all cores' positions in one
-:meth:`OpSource.ops_at` call.
+with 10^10+ operations.  :func:`sample_phase` takes these stages for
+every core of one code region in one step.  Per core stay the positions,
+each core's draws from its own RNG and the collision scan of a core that
+can collide; the op description, level and latency lookups, filter,
+timestamps and record encoding run once over the phase's samples.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.cpu.ops import BRANCH, LOAD, STORE
 from repro.cpu.pipeline import PipelineModel
 from repro.errors import SpeError
 from repro.spe.config import SpeConfig
+from repro.spe.packets import RECORD_SIZE, encode_records
 from repro.spe.records import SampleBatch
 from repro.spe.refpath import reference_active
 from repro.spe.strategies import (
@@ -80,7 +84,12 @@ class OpSource(Protocol):
         self, idx: np.ndarray, kinds: np.ndarray, addrs: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """MemLevel uint8 per op (0 where not a memory op)."""
+        """MemLevel uint8 per op (0 where not a memory op).
+
+        A source that draws levels takes one ``rng.random`` uniform per
+        load or store, all in one call: :func:`sample_phase` passes a
+        :class:`CoreDraws` that splits that draw among the cores.
+        """
         ...
 
     def pcs_at(self, idx: np.ndarray) -> np.ndarray:
@@ -278,11 +287,28 @@ def _sparse_chain_walk(
     return kept
 
 
+#: the records and arrival times of a core that kept no sample
+_NO_RECORDS = np.zeros((0, RECORD_SIZE), dtype=np.uint8)
+_NO_CYCLES = np.zeros(0, dtype=np.float64)
+_NO_RECORDS.setflags(write=False)
+_NO_CYCLES.setflags(write=False)
+
+
 @dataclass
 class SamplerOutput:
-    """Result of sampling one op stream on one core."""
+    """Result of sampling one op stream on one core.
 
-    batch: SampleBatch            #: samples that survived collisions + filter
+    The kept samples are in arrival order, the order in which their
+    records complete and the core writes them to its aux buffer.  They
+    are rows ``rows`` of ``samples``, the batch of the phase step that
+    produced them; ``records`` holds the same rows encoded as 64-byte SPE
+    records, or ``None`` when the step did not encode them (the core's
+    session is inert and only counts them as lost).
+    """
+
+    samples: SampleBatch          #: every kept sample of the phase step
+    rows: slice                   #: this core's rows of ``samples``
+    records: np.ndarray | None    #: ``(n_kept, 64)`` uint8 encoded rows
     arrival_cycles: np.ndarray    #: absolute cycle time each record completes
     n_selected: int               #: interval-counter firings
     n_collisions: int             #: dropped while tracker busy (pre-filter)
@@ -290,8 +316,13 @@ class SamplerOutput:
     duration_cycles: float        #: op-stream execution span covered
 
     @property
+    def batch(self) -> SampleBatch:
+        """This core's kept samples (views into :attr:`samples`)."""
+        return self.samples.select(self.rows)
+
+    @property
     def n_kept(self) -> int:
-        return len(self.batch)
+        return int(self.arrival_cycles.shape[0])
 
 
 class SpeSampler:
@@ -348,101 +379,199 @@ class SpeSampler:
         )
         return pos
 
-    def _track(
-        self,
-        source: OpSource,
-        pos: np.ndarray,
-        kinds: np.ndarray,
-        addrs: np.ndarray,
-        start_cycle: float,
-    ) -> SamplerOutput:
-        """Stages 2-3 for the ops at ``pos``: levels, latencies, the
-        collision scan, the filter and the records."""
-        n_selected = int(pos.size)
-        duration = source.n_ops * source.cpi
-        if n_selected == 0:
-            return SamplerOutput(
-                batch=SampleBatch(),
-                arrival_cycles=np.zeros(0),
-                n_selected=0,
-                n_collisions=0,
-                n_filtered=0,
-                duration_cycles=duration,
+
+class CoreDraws:
+    """Several cores' generators, drawn from as one.
+
+    A phase step passes this in place of a
+    :class:`numpy.random.Generator` to :meth:`OpSource.levels_at` and
+    :meth:`PipelineModel.op_latencies`, which then cover every core's
+    samples in one call.  A draw of ``sum(sizes)`` values takes
+    ``sizes[i]`` of them from core ``i``'s own generator, in core order,
+    so each core's stream advances exactly as if the core had drawn for
+    its own samples alone.  A draw of any other length raises.
+    """
+
+    def __init__(
+        self, rngs: Sequence[np.random.Generator], sizes: Sequence[int]
+    ) -> None:
+        self.rngs = rngs
+        self.sizes = sizes
+        self.total = sum(sizes)
+
+    def _draw(self, n: int, draw) -> np.ndarray:
+        if n != self.total:
+            raise SpeError(
+                f"a draw of {n} values does not split into the cores' "
+                f"shares of {self.total}"
             )
-        levels = source.levels_at(pos, kinds, addrs, self.rng)
-        dram_scale = float(getattr(source, "dram_latency_scale", 1.0))
-        lat = self.pipeline.op_latencies(
-            kinds, levels, rng=self.rng, dram_scale=dram_scale
+        parts = [draw(rng, k) for rng, k in zip(self.rngs, self.sizes) if k]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def random(self, size: int) -> np.ndarray:
+        return self._draw(int(size), lambda rng, k: rng.random(k))
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        return self._draw(
+            int(np.prod(size)), lambda rng, k: rng.uniform(low, high, k)
         )
 
-        select_cycles = start_cycle + pos.astype(np.float64) * source.cpi
-        if self.track_collisions:
-            keep, n_collisions = collision_scan(select_cycles, lat)
-        else:
-            keep = np.ones(n_selected, dtype=bool)
-            n_collisions = 0
 
-        kinds, addrs, levels, lat = kinds[keep], addrs[keep], levels[keep], lat[keep]
-        pos_kept = pos[keep]
-        retire_cycles = select_cycles[keep] + lat
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Start of each segment of the given lengths, then the total."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
-        total_lat = np.minimum(lat, 0xFFFF).astype(np.uint16)
-        fmask = self._filter_mask(kinds, total_lat)
-        n_filtered = int((~fmask).sum())
 
-        retire_cycles = retire_cycles[fmask]
-        ts = self.timer.cycles_to_ticks(retire_cycles)
-        ts = np.maximum(ts, 1).astype(np.uint64)  # 0 would be decode-skipped
-        issue_lat = np.minimum(
-            np.maximum(total_lat[fmask].astype(np.float64) * 0.25, 1), 0xFFFF
-        ).astype(np.uint16)
-        batch = SampleBatch(
-            pc=source.pcs_at(pos_kept[fmask]),
-            addr=addrs[fmask],
-            ts=ts,
-            level=levels[fmask],
-            kind=kinds[fmask],
-            total_lat=total_lat[fmask],
-            issue_lat=issue_lat,
-        )
-        return SamplerOutput(
-            batch=batch,
-            arrival_cycles=retire_cycles,
-            n_selected=n_selected,
-            n_collisions=n_collisions,
-            n_filtered=n_filtered,
-            duration_cycles=duration,
-        )
+def _segment_counts(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """True entries of ``mask`` in each segment ``[starts[i], starts[i+1])``."""
+    c = np.zeros(mask.shape[0] + 1, dtype=np.int64)
+    np.cumsum(mask, out=c[1:])
+    return c[starts[1:]] - c[starts[:-1]]
+
+
+def _cores_with(pair_flags: np.ndarray, starts: np.ndarray) -> list[int]:
+    """The segments holding a flagged pair of their own adjacent rows.
+
+    ``pair_flags[j]`` flags rows ``j`` and ``j+1`` of the concatenated
+    segments; a pair that straddles two segments is ignored (and its
+    flag cleared in place).
+    """
+    cut = starts[1:-1]
+    pair_flags[cut[(cut > 0) & (cut <= pair_flags.shape[0])] - 1] = False
+    hit = np.flatnonzero(pair_flags)
+    return np.unique(np.searchsorted(starts, hit, side="right") - 1).tolist()
 
 
 def sample_phase(
     samplers: Sequence[SpeSampler],
     sources: Sequence[OpSource],
     start_cycles: Sequence[float],
+    encode: Sequence[bool] | None = None,
 ) -> list[SamplerOutput]:
-    """Sample one code region on several cores at once.
+    """Sample one code region on several cores in one step.
 
     ``samplers[i]`` samples ``sources[i]``, its core's stream of the
     region (for a workload phase, ``Workload.op_source(phase, i)``),
-    from core cycle ``start_cycles[i]``.  Each core draws from its own
-    RNG in a fixed order, positions, then levels, then latency jitter,
-    so its output is the same whichever cores share the step.  The
-    kinds and addresses at every core's positions come from one
-    :meth:`OpSource.ops_at` call on ``sources[0]``, told each
-    position's thread; the collision scan, the filter and the records
-    stay per core.
+    from core cycle ``start_cycles[i]``.  The samplers are one
+    profiler's sessions: they share ``samplers[0]``'s filter config,
+    pipeline model and timer, and ``sources[0]`` describes every core's
+    ops, told each position's thread.
+
+    What stays per core: the positions; each core's draws from its own
+    RNG in a fixed order (positions, then one level uniform per memory
+    op, then one latency jitter per sample); and the collision scan,
+    run only for a core where some sample's tracking window reaches its
+    next selection.  The rest runs once over the phase's concatenated
+    samples: the op description, the level-CDF inversion, the latency
+    tables, the filter, the timestamps, one :class:`SampleBatch`, and
+    one :func:`~repro.spe.packets.encode_records` call over the rows of
+    each core whose ``encode[i]`` is true (default: every core), each
+    core's rows in stable arrival order.  A core's output is therefore
+    the same whichever cores share the step.
     """
-    positions = [s._positions(src) for s, src in zip(samplers, sources)]
-    sizes = [p.size for p in positions]
-    threads = np.repeat([src.thread for src in sources], sizes)
+    first, src = samplers[0], sources[0]
+    cfg = first.config
+    if any(s.config is not cfg and s.config != cfg for s in samplers):
+        raise SpeError("the samplers of one phase step must share a config")
+    k = len(samplers)
+    positions = [s._positions(source) for s, source in zip(samplers, sources)]
+    durations = [source.n_ops * source.cpi for source in sources]
+    sizes = np.fromiter(map(len, positions), dtype=np.int64, count=k)
+    if not sizes.any():
+        empty = SampleBatch()
+        return [
+            SamplerOutput(empty, slice(0, 0), _NO_RECORDS, _NO_CYCLES, 0, 0, 0, d)
+            for d in durations
+        ]
+    starts = _offsets(sizes)
+    pos = np.concatenate(positions)
+    rngs = [s.rng for s in samplers]
+
     # ops_at draws no random numbers: core 0's RNG only fills the argument
-    kinds, addrs = sources[0].ops_at(
-        np.concatenate(positions), samplers[0].rng, threads
+    threads = np.repeat([source.thread for source in sources], sizes)
+    kinds, addrs = src.ops_at(pos, rngs[0], threads)
+    is_mem = (kinds == LOAD) | (kinds == STORE)
+    levels = src.levels_at(
+        pos, kinds, addrs, CoreDraws(rngs, _segment_counts(is_mem, starts).tolist())
     )
-    bounds = np.cumsum([0, *sizes]).tolist()
-    return [
-        s._track(src, pos, kinds[a:b], addrs[a:b], start)
-        for s, src, pos, start, a, b in zip(
-            samplers, sources, positions, start_cycles, bounds, bounds[1:]
+    lat = first.pipeline.op_latencies(
+        kinds, levels, rng=CoreDraws(rngs, sizes.tolist()),
+        dram_scale=float(getattr(src, "dram_latency_scale", 1.0)),
+    )
+    select_cycles = np.repeat(
+        np.asarray(start_cycles, dtype=np.float64), sizes
+    ) + pos.astype(np.float64) * np.repeat(
+        [source.cpi for source in sources], sizes
+    )
+
+    # stage 2: only a core whose tracking windows overlap can collide;
+    # stage 3: the filter, over the samples the tracker kept
+    total_lat = np.minimum(lat, 0xFFFF).astype(np.uint16)
+    keep = first._filter_mask(kinds, total_lat)
+    n_collisions = np.zeros(k, dtype=np.int64)
+    overlap = select_cycles[1:] < select_cycles[:-1] + lat[:-1]
+    for i in _cores_with(overlap, starts):
+        if samplers[i].track_collisions:
+            a, b = starts[i], starts[i + 1]
+            tracked, n_collisions[i] = collision_scan(
+                select_cycles[a:b], lat[a:b]
+            )
+            keep[a:b] &= tracked
+    kept = _segment_counts(keep, starts)
+    n_filtered = sizes - n_collisions - kept
+    out_starts = _offsets(kept)
+    # integer gathers: ~6x faster than boolean masks for a random mask
+    rows = np.flatnonzero(keep)
+    retire_cycles = select_cycles.take(rows) + lat.take(rows)
+    pos, addrs, levels, kinds, total_lat = (
+        x.take(rows) for x in (pos, addrs, levels, kinds, total_lat)
+    )
+
+    late = _cores_with(retire_cycles[1:] < retire_cycles[:-1], out_starts)
+    if late:
+        # each late core's rows in stable arrival order; the rest stay
+        core = np.repeat(np.arange(k), kept)
+        rows = np.flatnonzero(np.isin(core, late))
+        order = np.arange(retire_cycles.shape[0])
+        order[rows] = rows[np.lexsort((retire_cycles[rows], core[rows]))]
+        pos, addrs, levels, kinds, total_lat, retire_cycles = (
+            x.take(order)
+            for x in (pos, addrs, levels, kinds, total_lat, retire_cycles)
         )
+
+    ts = first.timer.cycles_to_ticks(retire_cycles)
+    ts = np.maximum(ts, 1).astype(np.uint64)  # 0 would be decode-skipped
+    issue_lat = np.minimum(
+        np.maximum(total_lat.astype(np.float64) * 0.25, 1), 0xFFFF
+    ).astype(np.uint16)
+    batch = SampleBatch(
+        pc=src.pcs_at(pos),
+        addr=addrs,
+        ts=ts,
+        level=levels,
+        kind=kinds,
+        total_lat=total_lat,
+        issue_lat=issue_lat,
+    )
+
+    emit = np.ones(k, dtype=bool) if encode is None else np.asarray(encode, bool)
+    records = encode_records(
+        batch if emit.all() else batch.select(np.repeat(emit, kept))
+    )
+    bounds = out_starts.tolist()
+    rec_bounds = _offsets(kept * emit).tolist()
+    return [
+        SamplerOutput(
+            samples=batch,
+            rows=slice(bounds[i], bounds[i + 1]),
+            records=records[rec_bounds[i] : rec_bounds[i + 1]] if emit[i] else None,
+            arrival_cycles=retire_cycles[bounds[i] : bounds[i + 1]],
+            n_selected=n_sel,
+            n_collisions=n_col,
+            n_filtered=n_filt,
+            duration_cycles=durations[i],
+        )
+        for i, (n_sel, n_col, n_filt) in enumerate(zip(
+            sizes.tolist(), n_collisions.tolist(), n_filtered.tolist()
+        ))
     ]

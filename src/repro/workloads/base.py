@@ -307,6 +307,7 @@ class Workload(abc.ABC):
         #: page->tier placement set by :meth:`attach_tiering` (None = flat)
         self.placement = None
         self._phases: list[Phase] = []
+        self._phase_ids: set[int] = set()
         self._build()
         if not self._phases:
             raise WorkloadError(f"workload {self.name!r} defined no phases")
@@ -349,6 +350,7 @@ class Workload(abc.ABC):
 
     def add_phase(self, phase: Phase) -> None:
         self._phases.append(phase)
+        self._phase_ids.add(id(phase))
 
     # -- structure ----------------------------------------------------------------
 
@@ -369,7 +371,7 @@ class Workload(abc.ABC):
         self.placement = placement
 
     def op_source(self, phase: Phase, thread: int) -> PhaseOpSource:
-        if not any(p is phase for p in self._phases):
+        if id(phase) not in self._phase_ids:
             raise WorkloadError("phase does not belong to this workload")
         if not 0 <= thread < self.phase_threads(phase):
             raise WorkloadError(f"thread {thread} not active in phase {phase.name}")
