@@ -120,14 +120,14 @@ class PipelineModel:
         kinds = np.asarray(kinds, dtype=np.uint8)
         issue_lut, level_lut = self._latency_luts(dram_scale)
         lat = issue_lut.take(kinds)
-        is_mem = (kinds == LOAD) | (kinds == STORE)
-        if is_mem.any():
+        rows = np.flatnonzero((kinds == LOAD) | (kinds == STORE))
+        if rows.size:
             if levels is None:
                 raise MachineError("levels required when chunk contains memory ops")
             levels = np.asarray(levels, dtype=np.uint8)
             if levels.shape != kinds.shape:
                 raise MachineError("levels array must match kinds shape")
-            lat[is_mem] += level_lut[levels[is_mem]]
+            lat[rows] += level_lut.take(levels.take(rows))
         if rng is not None and self.jitter > 0:
             lat *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter, size=lat.shape)
         return lat

@@ -38,6 +38,7 @@ from repro.nmo.backends import CoreSession, select_backend
 from repro.nmo.env import NmoMode, NmoSettings
 from repro.nmo.timescale import TimescaleConverter
 from repro.nmo.tracefile import TraceData
+from repro.runtime.thread import ThreadTeam
 from repro.spe.driver import SpeCostModel, ThrottleModel
 from repro.spe.records import SampleBatch
 from repro.spe.sampler import sample_phase
@@ -221,21 +222,39 @@ class NmoProfiler:
         )
 
     def run(self) -> ProfileResult:
+        """Profile the workload once, from a fresh thread team.
+
+        Each core's perf event is open for this run only: it is closed
+        once the run has drained it and read its timescale metadata, so
+        profiling a workload again leaves no event or buffer behind.
+        """
+        w = self.workload
+        perf = w.process.perf
+        pipeline = PipelineModel(w.machine)
+        timer = GenericTimer(w.machine.frequency_hz)
+        sessions: dict[int, CoreSession] = {}
+        try:
+            if self._sampling_enabled():
+                for core in range(w.n_threads):
+                    rng = np.random.default_rng(
+                        [self.seed, core, self.settings.period]
+                    )
+                    sessions[core] = self.backend.open_session(
+                        perf, core, self.settings, pipeline, timer, rng,
+                        self.cost,
+                    )
+            return self._profile(sessions)
+        finally:
+            for sess in sessions.values():
+                perf.close(sess.event)
+
+    def _profile(self, sessions: dict[int, CoreSession]) -> ProfileResult:
+        """The profiled run, feeding each core's samples to ``sessions``."""
         w = self.workload
         machine = w.machine
         settings = self.settings
-        team = w.process.team
-        pipeline = PipelineModel(machine)
-        timer = GenericTimer(machine.frequency_hz)
+        team = w.process.team = ThreadTeam(w.n_threads)
         sampling = self._sampling_enabled()
-
-        sessions: dict[int, CoreSession] = {}
-        if sampling:
-            for core in range(w.n_threads):
-                rng = np.random.default_rng([self.seed, core, settings.period])
-                sessions[core] = self.backend.open_session(
-                    w.process.perf, core, settings, pipeline, timer, rng, self.cost
-                )
 
         ann = AnnotationRegistry()
         for name, start, end in w.tagged_objects():
@@ -350,7 +369,7 @@ class NmoProfiler:
         )
 
         # timestamps -> perf time -> seconds
-        if sampling and sessions:
+        if sampling:
             meta = sessions[0].event.ring.meta  # type: ignore[union-attr]
             conv = TimescaleConverter(meta)
             times_s = np.asarray(conv.to_seconds(batch.ts), dtype=np.float64)

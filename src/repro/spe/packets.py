@@ -62,24 +62,50 @@ OFF_TS_HDR = 55
 OFF_TS = 56             # paper: "56-byte offset from the base"
 
 
-def _put_u64(mat: np.ndarray, off: int, vals: np.ndarray) -> None:
-    mat[:, off : off + 8] = (
-        np.ascontiguousarray(vals, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    )
+#: Every field of a record: name, format, byte offset and, for a header
+#: byte, its fixed value.  A field that carries a sample takes its
+#: :class:`SampleBatch` column's name; ``<column>_hdr`` is the header
+#: before it.
+_LAYOUT = (
+    ("kind_hdr", "u1", OFF_OP_TYPE_HDR, HDR_OP_TYPE),
+    ("kind", "u1", OFF_OP_TYPE, None),
+    ("events_hdr", "u1", OFF_EVENTS_HDR, HDR_EVENTS),
+    ("events", "<u2", OFF_EVENTS, None),
+    ("total_lat_hdr", "u1", OFF_LAT_TOTAL_HDR, HDR_LAT_TOTAL),
+    ("total_lat", "<u2", OFF_LAT_TOTAL, None),
+    ("issue_lat_hdr", "u1", OFF_LAT_ISSUE_HDR, HDR_LAT_ISSUE),
+    ("issue_lat", "<u2", OFF_LAT_ISSUE, None),
+    ("level_hdr", "u1", OFF_SOURCE_HDR, HDR_DATA_SOURCE),
+    ("level", "u1", OFF_SOURCE, None),
+    ("pc_hdr", "u1", OFF_PC_HDR, HDR_PC),
+    ("pc", "<u8", OFF_PC, None),
+    ("addr_hdr", "u1", OFF_VADDR_HDR, HDR_VADDR),
+    ("addr", "<u8", OFF_VADDR, None),
+    ("ts_hdr", "u1", OFF_TS_HDR, HDR_TIMESTAMP),
+    ("ts", "<u8", OFF_TS, None),
+)
+
+#: The record layout as one structured dtype: every field of
+#: :data:`_LAYOUT` at its offset, little-endian, 64 bytes in all (bytes
+#: no field names stay zero).
+RECORD_DTYPE = np.dtype({
+    "names": [f[0] for f in _LAYOUT],
+    "formats": [f[1] for f in _LAYOUT],
+    "offsets": [f[2] for f in _LAYOUT],
+    "itemsize": RECORD_SIZE,
+})
 
 
-def _get_u64(mat: np.ndarray, off: int) -> np.ndarray:
-    return np.ascontiguousarray(mat[:, off : off + 8]).view("<u8").reshape(-1)
+def _blank_record() -> np.ndarray:
+    """One record's 64 bytes with every header set and every value zero."""
+    rec = np.zeros(1, dtype=RECORD_DTYPE)
+    for name, _fmt, _off, hdr in _LAYOUT:
+        if hdr is not None:
+            rec[name] = hdr
+    return rec.view(np.uint8)
 
 
-def _put_u16(mat: np.ndarray, off: int, vals: np.ndarray) -> None:
-    mat[:, off : off + 2] = (
-        np.ascontiguousarray(vals, dtype="<u2").view(np.uint8).reshape(-1, 2)
-    )
-
-
-def _get_u16(mat: np.ndarray, off: int) -> np.ndarray:
-    return np.ascontiguousarray(mat[:, off : off + 2]).view("<u2").reshape(-1)
+_BLANK = _blank_record()
 
 
 def encode_batch(batch: SampleBatch) -> bytes:
@@ -92,30 +118,18 @@ def encode_records(batch: SampleBatch) -> np.ndarray:
 
     Same bytes as :func:`encode_batch` without the ``bytes`` round-trip:
     the driver writes rows (or row ranges) straight into the aux buffer
-    and decodes slices of the same matrix, copy-free.
+    and decodes slices of the same matrix, copy-free.  Each row starts
+    as the blank record; each field is then filled through
+    :data:`RECORD_DTYPE`.
     """
     n = len(batch)
-    mat = np.zeros((n, RECORD_SIZE), dtype=np.uint8)
-    if n == 0:
-        return mat
-    mat[:, OFF_OP_TYPE_HDR] = HDR_OP_TYPE
-    mat[:, OFF_OP_TYPE] = batch.kind
-    mat[:, OFF_EVENTS_HDR] = HDR_EVENTS
+    mat = np.empty((n, RECORD_SIZE), dtype=np.uint8)
+    mat[:] = _BLANK
+    rec = mat.reshape(-1).view(RECORD_DTYPE)
+    for c in SampleBatch._COLUMNS:
+        rec[c] = getattr(batch, c)
     # events u16: bit0 retired, bit1 L1-hit convenience flag
-    events = (1 + ((batch.level == 1).astype(np.uint16) << 1)).astype(np.uint16)
-    _put_u16(mat, OFF_EVENTS, events)
-    mat[:, OFF_LAT_TOTAL_HDR] = HDR_LAT_TOTAL
-    _put_u16(mat, OFF_LAT_TOTAL, batch.total_lat)
-    mat[:, OFF_LAT_ISSUE_HDR] = HDR_LAT_ISSUE
-    _put_u16(mat, OFF_LAT_ISSUE, batch.issue_lat)
-    mat[:, OFF_SOURCE_HDR] = HDR_DATA_SOURCE
-    mat[:, OFF_SOURCE] = batch.level
-    mat[:, OFF_PC_HDR] = HDR_PC
-    _put_u64(mat, OFF_PC, batch.pc)
-    mat[:, OFF_VADDR_HDR] = HDR_VADDR
-    _put_u64(mat, OFF_VADDR, batch.addr)
-    mat[:, OFF_TS_HDR] = HDR_TIMESTAMP
-    _put_u64(mat, OFF_TS, batch.ts)
+    rec["events"] = 1 + ((batch.level == 1).astype(np.uint16) << 1)
     return mat
 
 
@@ -147,38 +161,35 @@ def decode_buffer(
     )
     n_records = raw.shape[0] // RECORD_SIZE
     trailing = int(raw.shape[0] - n_records * RECORD_SIZE)
-    mat = raw[: n_records * RECORD_SIZE].reshape(n_records, RECORD_SIZE)
     if n_records == 0:
         return SampleBatch(), DecodeStats(0, 0, 0, trailing)
+    rec = np.ascontiguousarray(raw[: n_records * RECORD_SIZE]).view(RECORD_DTYPE)
 
-    addr = _get_u64(mat, OFF_VADDR)
-    ts = _get_u64(mat, OFF_TS)
+    addr = rec["addr"]
+    ts = rec["ts"]
     valid = (
-        (mat[:, OFF_VADDR_HDR] == HDR_VADDR)
-        & (mat[:, OFF_TS_HDR] == HDR_TIMESTAMP)
+        (rec["addr_hdr"] == HDR_VADDR)
+        & (rec["ts_hdr"] == HDR_TIMESTAMP)
         & (addr != 0)
         & (ts != 0)
     )
-    n_valid = int(valid.sum())
+    n_valid = int(np.count_nonzero(valid))
     if strict and n_valid != n_records:
-        bad = int(np.nonzero(~valid)[0][0])
+        bad = int(np.flatnonzero(~valid)[0])
         raise PacketDecodeError(
             f"record {bad}: preface/zero-field validation failed "
-            f"(vaddr_hdr=0x{int(mat[bad, OFF_VADDR_HDR]):02x}, "
-            f"ts_hdr=0x{int(mat[bad, OFF_TS_HDR]):02x}, "
+            f"(vaddr_hdr=0x{int(rec['addr_hdr'][bad]):02x}, "
+            f"ts_hdr=0x{int(rec['ts_hdr'][bad]):02x}, "
             f"addr=0x{int(addr[bad]):x}, ts={int(ts[bad])})"
         )
 
-    sel = mat[valid]
-    batch = SampleBatch(
-        pc=_get_u64(sel, OFF_PC),
-        addr=addr[valid],
-        ts=ts[valid],
-        level=sel[:, OFF_SOURCE].copy(),
-        kind=sel[:, OFF_OP_TYPE].copy(),
-        total_lat=_get_u16(sel, OFF_LAT_TOTAL),
-        issue_lat=_get_u16(sel, OFF_LAT_ISSUE),
-    )
+    # copy each column out (gathering the valid rows), so no decoded
+    # column aliases the source buffer
+    rows = None if n_valid == n_records else np.flatnonzero(valid)
+    batch = SampleBatch(**{
+        c: rec[c].copy() if rows is None else rec[c].take(rows)
+        for c in SampleBatch._COLUMNS
+    })
     stats = DecodeStats(
         n_records=n_records,
         n_valid=n_valid,

@@ -160,16 +160,22 @@ def _renewal_positions(
     # the end, so the already-drawn prefix is never re-copied and the
     # total grows geometrically instead of quadratically)
     n_est = int((n_ops - first) // max(1, est_gap)) + 2
-    chunks = [first - 1 + np.concatenate([[0], np.cumsum(draw(n_est))])]
-    last = int(chunks[-1][-1])
+    head = np.empty(n_est + 1, dtype=np.int64)
+    head[0] = 0
+    np.cumsum(draw(n_est), out=head[1:])
+    head += first - 1
+    chunks = [head]
+    last = int(head[-1])
     while last < n_ops - 1:
         more = last + np.cumsum(draw(n_est))
         chunks.append(more)
         last = int(more[-1])
-    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    past = pos[pos >= n_ops]
-    residue = int(past[0]) - (n_ops - 1) if past.size else int(draw(1)[0])
-    return pos[pos < n_ops], residue
+    pos = head if len(chunks) == 1 else np.concatenate(chunks)
+    # gaps are never negative, so the positions past the stream are a
+    # suffix: one binary search finds where it starts
+    cut = int(pos.searchsorted(n_ops))
+    residue = int(pos[cut]) - (n_ops - 1) if cut < pos.size else int(draw(1)[0])
+    return pos[:cut], residue
 
 
 class PeriodicStrategy:

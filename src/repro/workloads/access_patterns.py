@@ -115,14 +115,12 @@ def round_robin(patterns: Sequence[AddrFn]) -> AddrFn:
     k = len(patterns)
 
     def fn(mem_idx: np.ndarray, thread) -> np.ndarray:
-        mi = np.asarray(mem_idx, dtype=np.int64)
-        which = mi % k
-        sub = mi // k
-        out = np.zeros(mi.shape, dtype=np.uint64)
+        sub, which = np.divmod(np.asarray(mem_idx, dtype=np.int64), k)
+        out = np.zeros(sub.shape, dtype=np.uint64)
         for w, p in enumerate(patterns):
-            m = which == w
-            if m.any():
-                out[m] = p(sub[m], pick_threads(thread, m))
+            rows = np.flatnonzero(which == w)
+            if rows.size:
+                out[rows] = p(sub.take(rows), pick_threads(thread, rows))
         return out
 
     return fn
@@ -144,9 +142,9 @@ def weighted_mix(patterns: Sequence[tuple[AddrFn, float]], salt: int = 0) -> Add
         which = np.minimum(which, len(patterns) - 1)
         out = np.zeros(mi.shape, dtype=np.uint64)
         for w, (p, _wt) in enumerate(patterns):
-            m = which == w
-            if m.any():
-                out[m] = p(mi[m], pick_threads(thread, m))
+            rows = np.flatnonzero(which == w)
+            if rows.size:
+                out[rows] = p(mi.take(rows), pick_threads(thread, rows))
         return out
 
     return fn

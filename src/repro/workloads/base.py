@@ -21,6 +21,7 @@ simulator via :meth:`PhaseOpSource.materialise`.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,27 +50,50 @@ def hash_uniform(idx: np.ndarray, salt: int | np.ndarray = 0) -> np.ndarray:
     A splitmix64-style mix keeps address/kind functions reproducible
     across calls (the same op index always maps to the same access),
     which property tests rely on.  ``salt`` is one non-negative int or
-    an array of them, one per index.
+    an array of them, one per index.  The rounds run in place on one
+    work array, with one temporary for the shifts.
     """
-    x = (
-        np.asarray(idx, dtype=np.uint64) + np.asarray(salt, dtype=np.uint64)
-    ) * np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
+    x = np.asarray(idx, dtype=np.uint64) + np.asarray(salt, dtype=np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    t = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=t)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=t)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x.astype(np.float64) / float(2**64)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    u = x.astype(np.float64)
+    u /= float(2**64)
+    return u
 
 
-def pick_threads(thread, mask: np.ndarray):
-    """The thread ids of the ops ``mask`` selects.
+def pick_threads(thread, rows: np.ndarray):
+    """The thread ids of the ops at ``rows``.
 
     For address and kind functions that hand a subset of their indices
     to a sub-pattern: ``thread`` is one id (kept as is) or an array of
-    per-index ids (masked alongside the indices).
+    per-index ids (gathered alongside the indices).
     """
-    return thread if np.ndim(thread) == 0 else thread[mask]
+    return thread if np.ndim(thread) == 0 else thread.take(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_lut(group: int, flops_per_group: int) -> np.ndarray:
+    """Op kind by place ``d = pos - slot + group`` in an op group.
+
+    ``pos`` is the op's position in its group and ``slot`` the group's
+    memory slot (:meth:`Phase.mem_slots`), so ``d`` lies in
+    ``[0, 2 * group)``.  Entry ``group`` is the memory op (LOAD here;
+    the caller sets loads and stores); entry ``d`` is a FLOP iff
+    ``1 <= d % group <= flops_per_group``.  A group with slot ``group``
+    has no memory op: its ops have ``d = pos < group`` and follow the
+    same FLOP rule.
+    """
+    rel = np.arange(2 * group) % group
+    lut = np.where((rel >= 1) & (rel <= flops_per_group), FLOP, OTHER)
+    lut = lut.astype(np.uint8)
+    lut[group] = LOAD
+    lut.setflags(write=False)
+    return lut
 
 
 @dataclass
@@ -218,33 +242,28 @@ class PhaseOpSource:
         idx = np.asarray(idx, dtype=np.int64)
         thread = self.thread if threads is None else threads
         p = self.phase
-        pos = idx % p.group
-        mem_idx = idx // p.group
-        mem_slot = p.mem_slots(mem_idx)
-        is_mem = pos == mem_slot
-        kinds = np.full(idx.shape, OTHER, dtype=np.uint8)
-        if p.flops_per_group:
-            rel = (pos - mem_slot) % p.group
-            kinds[(rel >= 1) & (rel <= p.flops_per_group)] = FLOP
+        mem_idx, pos = np.divmod(idx, p.group)
+        place = pos - p.mem_slots(mem_idx) + p.group
+        kinds = _kind_lut(p.group, p.flops_per_group).take(place)
         addrs = np.zeros(idx.shape, dtype=np.uint64)
-        if is_mem.any():
-            mi = mem_idx[is_mem]
-            th = pick_threads(thread, is_mem)
+        rows = np.flatnonzero(place == p.group)
+        if rows.size:
+            mi = mem_idx.take(rows)
+            th = pick_threads(thread, rows)
             if p.kind_fn is not None:
                 stores = p.kind_fn(mi, th)
             else:
                 stores = hash_uniform(mi, salt=17) < p.store_fraction
-            kinds[is_mem] = np.where(stores, STORE, LOAD)
-            addrs[is_mem] = p.addr_fn(mi, th)
+            kinds[rows] = np.where(stores, STORE, LOAD)
+            addrs[rows] = p.addr_fn(mi, th)
         return kinds, addrs
 
     def levels_at(self, idx, kinds, addrs, rng: np.random.Generator):
         levels = np.zeros(np.asarray(idx).shape, dtype=np.uint8)
-        is_mem = (kinds == LOAD) | (kinds == STORE)
-        n_mem = int(is_mem.sum())
-        if n_mem:
-            levels[is_mem] = self.stat.draw_levels(
-                self.phase.classes, n_mem, rng, sharers=self.sharers
+        rows = np.flatnonzero((kinds == LOAD) | (kinds == STORE))
+        if rows.size:
+            mem_levels = self.stat.draw_levels(
+                self.phase.classes, rows.size, rng, sharers=self.sharers
             )
             if self.placement is not None:
                 # tier attribution: a DRAM-serviced sample reports the
@@ -253,12 +272,12 @@ class PhaseOpSource:
                 # placement-free path stays bit-identical
                 from repro.machine.hierarchy import MemLevel
 
-                mem_levels = levels[is_mem]
-                dram = mem_levels == np.uint8(MemLevel.DRAM)
-                if dram.any():
-                    mem_addrs = addrs[is_mem]
-                    mem_levels[dram] += self.placement.tier_of(mem_addrs[dram])
-                    levels[is_mem] = mem_levels
+                dram = np.flatnonzero(mem_levels == np.uint8(MemLevel.DRAM))
+                if dram.size:
+                    mem_levels[dram] += self.placement.tier_of(
+                        addrs.take(rows.take(dram))
+                    )
+            levels[rows] = mem_levels
         return levels
 
     def pcs_at(self, idx: np.ndarray) -> np.ndarray:

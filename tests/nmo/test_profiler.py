@@ -124,6 +124,39 @@ class TestSamplingRun:
         assert r1.samples_processed != r2.samples_processed
 
 
+class TestReprofile:
+    """A run leaves no perf event open and no clock behind, so profiling
+    one workload again gives a fresh workload's result."""
+
+    def test_three_runs_on_one_workload(self, ampere):
+        s = NmoSettings(enable=True, mode=NmoMode.SAMPLING, period=2048)
+        fresh = NmoProfiler(stream(ampere, threads=4), s, seed=0).run()
+        w = stream(ampere, threads=4)
+        for _ in range(3):
+            r = NmoProfiler(w, s, seed=0).run()
+            assert w.process.perf.events == {}
+            for col in r.batch._COLUMNS:
+                assert np.array_equal(
+                    getattr(r.batch, col), getattr(fresh.batch, col)
+                ), col
+            assert np.array_equal(r.sample_cores, fresh.sample_cores)
+            assert np.array_equal(r.sample_times_s, fresh.sample_times_s)
+            assert r.time_overhead == fresh.time_overhead
+            assert r.profiled_cycles == fresh.profiled_cycles
+
+    def test_events_closed_when_a_run_fails(self, ampere, monkeypatch):
+        w = stream(ampere, threads=4)
+        s = NmoSettings(enable=True, mode=NmoMode.SAMPLING, period=2048)
+
+        def boom(*a, **k):
+            raise RuntimeError("phase step failed")
+
+        monkeypatch.setattr("repro.nmo.profiler.sample_phase", boom)
+        with pytest.raises(RuntimeError):
+            NmoProfiler(w, s, seed=0).run()
+        assert w.process.perf.events == {}
+
+
 class TestModes:
     def test_disabled_collects_nothing(self, ampere):
         r = run(ampere, mode=NmoMode.NONE, period=0)

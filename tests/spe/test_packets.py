@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PacketDecodeError
+from repro.spe import packets as pk
 from repro.spe.packets import (
     HDR_TIMESTAMP,
     HDR_VADDR,
@@ -11,10 +12,13 @@ from repro.spe.packets import (
     OFF_TS_HDR,
     OFF_VADDR,
     OFF_VADDR_HDR,
+    RECORD_DTYPE,
     RECORD_SIZE,
     corrupt_records,
     decode_buffer,
+    decode_stream,
     encode_batch,
+    encode_records,
 )
 from repro.spe.records import SampleBatch
 
@@ -185,3 +189,213 @@ class TestCorruptRecordsVectorised:
         assert stats.n_valid == 0
         assert stats.n_skipped == 4
         assert len(got) == 0
+
+
+# -- the byte-slice codec that RECORD_DTYPE replaced, kept as the oracle ----
+
+
+def _put_u64(mat, off, vals):
+    mat[:, off : off + 8] = (
+        np.ascontiguousarray(vals, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    )
+
+
+def _get_u64(mat, off):
+    return np.ascontiguousarray(mat[:, off : off + 8]).view("<u8").reshape(-1)
+
+
+def _put_u16(mat, off, vals):
+    mat[:, off : off + 2] = (
+        np.ascontiguousarray(vals, dtype="<u2").view(np.uint8).reshape(-1, 2)
+    )
+
+
+def _get_u16(mat, off):
+    return np.ascontiguousarray(mat[:, off : off + 2]).view("<u2").reshape(-1)
+
+
+def oracle_encode(b):
+    mat = np.zeros((len(b), RECORD_SIZE), dtype=np.uint8)
+    if len(b) == 0:
+        return mat
+    mat[:, pk.OFF_OP_TYPE_HDR] = pk.HDR_OP_TYPE
+    mat[:, pk.OFF_OP_TYPE] = b.kind
+    mat[:, pk.OFF_EVENTS_HDR] = pk.HDR_EVENTS
+    events = (1 + ((b.level == 1).astype(np.uint16) << 1)).astype(np.uint16)
+    _put_u16(mat, pk.OFF_EVENTS, events)
+    mat[:, pk.OFF_LAT_TOTAL_HDR] = pk.HDR_LAT_TOTAL
+    _put_u16(mat, pk.OFF_LAT_TOTAL, b.total_lat)
+    mat[:, pk.OFF_LAT_ISSUE_HDR] = pk.HDR_LAT_ISSUE
+    _put_u16(mat, pk.OFF_LAT_ISSUE, b.issue_lat)
+    mat[:, pk.OFF_SOURCE_HDR] = pk.HDR_DATA_SOURCE
+    mat[:, pk.OFF_SOURCE] = b.level
+    mat[:, pk.OFF_PC_HDR] = pk.HDR_PC
+    _put_u64(mat, pk.OFF_PC, b.pc)
+    mat[:, OFF_VADDR_HDR] = HDR_VADDR
+    _put_u64(mat, OFF_VADDR, b.addr)
+    mat[:, OFF_TS_HDR] = HDR_TIMESTAMP
+    _put_u64(mat, OFF_TS, b.ts)
+    return mat
+
+
+def oracle_decode(data, strict=False):
+    raw = (
+        np.frombuffer(data, dtype=np.uint8)
+        if isinstance(data, (bytes, bytearray, memoryview))
+        else np.asarray(data, dtype=np.uint8)
+    )
+    n_records = raw.shape[0] // RECORD_SIZE
+    trailing = int(raw.shape[0] - n_records * RECORD_SIZE)
+    mat = raw[: n_records * RECORD_SIZE].reshape(n_records, RECORD_SIZE)
+    if n_records == 0:
+        return SampleBatch(), pk.DecodeStats(0, 0, 0, trailing)
+    addr = _get_u64(mat, OFF_VADDR)
+    ts = _get_u64(mat, OFF_TS)
+    valid = (
+        (mat[:, OFF_VADDR_HDR] == HDR_VADDR)
+        & (mat[:, OFF_TS_HDR] == HDR_TIMESTAMP)
+        & (addr != 0)
+        & (ts != 0)
+    )
+    n_valid = int(valid.sum())
+    if strict and n_valid != n_records:
+        bad = int(np.nonzero(~valid)[0][0])
+        raise PacketDecodeError(
+            f"record {bad}: preface/zero-field validation failed "
+            f"(vaddr_hdr=0x{int(mat[bad, OFF_VADDR_HDR]):02x}, "
+            f"ts_hdr=0x{int(mat[bad, OFF_TS_HDR]):02x}, "
+            f"addr=0x{int(addr[bad]):x}, ts={int(ts[bad])})"
+        )
+    sel = mat[valid]
+    got = SampleBatch(
+        pc=_get_u64(sel, pk.OFF_PC),
+        addr=addr[valid],
+        ts=ts[valid],
+        level=sel[:, pk.OFF_SOURCE].copy(),
+        kind=sel[:, pk.OFF_OP_TYPE].copy(),
+        total_lat=_get_u16(sel, pk.OFF_LAT_TOTAL),
+        issue_lat=_get_u16(sel, pk.OFF_LAT_ISSUE),
+    )
+    return got, pk.DecodeStats(n_records, n_valid, n_records - n_valid, trailing)
+
+
+def random_batch(rng, n):
+    """Full-range columns, with some zero addresses and timestamps."""
+    b = SampleBatch(
+        pc=rng.integers(0, 1 << 64, n, dtype=np.uint64),
+        addr=rng.integers(0, 1 << 64, n, dtype=np.uint64),
+        ts=rng.integers(0, 1 << 64, n, dtype=np.uint64),
+        level=rng.integers(0, 256, n, dtype=np.uint8),
+        kind=rng.integers(0, 256, n, dtype=np.uint8),
+        total_lat=rng.integers(0, 1 << 16, n, dtype=np.uint16),
+        issue_lat=rng.integers(0, 1 << 16, n, dtype=np.uint16),
+    )
+    b.level[rng.random(n) < 0.3] = 1  # the events word's L1-hit bit
+    b.addr[rng.random(n) < 0.05] = 0
+    b.ts[rng.random(n) < 0.05] = 0
+    return b
+
+
+def assert_same_decode(got, want):
+    (gb, gs), (wb, ws) = got, want
+    assert gs == ws
+    for c in SampleBatch._COLUMNS:
+        g, w = getattr(gb, c), getattr(wb, c)
+        assert g.dtype == w.dtype and np.array_equal(g, w), c
+
+
+class TestRecordDtype:
+    def test_itemsize_is_the_record(self):
+        assert RECORD_DTYPE.itemsize == 64 == RECORD_SIZE
+
+    def test_field_offsets_are_the_packet_offsets(self):
+        offsets = {
+            "kind_hdr": pk.OFF_OP_TYPE_HDR, "kind": pk.OFF_OP_TYPE,
+            "events_hdr": pk.OFF_EVENTS_HDR, "events": pk.OFF_EVENTS,
+            "total_lat_hdr": pk.OFF_LAT_TOTAL_HDR,
+            "total_lat": pk.OFF_LAT_TOTAL,
+            "issue_lat_hdr": pk.OFF_LAT_ISSUE_HDR,
+            "issue_lat": pk.OFF_LAT_ISSUE,
+            "level_hdr": pk.OFF_SOURCE_HDR, "level": pk.OFF_SOURCE,
+            "pc_hdr": pk.OFF_PC_HDR, "pc": pk.OFF_PC,
+            "addr_hdr": OFF_VADDR_HDR, "addr": OFF_VADDR,
+            "ts_hdr": OFF_TS_HDR, "ts": OFF_TS,
+        }
+        assert set(RECORD_DTYPE.names) == set(offsets)
+        for name, off in offsets.items():
+            assert RECORD_DTYPE.fields[name][1] == off, name
+
+    def test_every_sample_column_has_a_little_endian_field(self):
+        for c in SampleBatch._COLUMNS:
+            dt = RECORD_DTYPE.fields[c][0]
+            assert dt == np.dtype(SampleBatch._DTYPES[c]).newbyteorder("<"), c
+
+
+class TestCodecMatchesOracle:
+    """The dtype codec is the byte-slice codec, byte for byte."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_encode_bytes(self, n, seed):
+        b = random_batch(np.random.default_rng(seed), n)
+        got = encode_records(b)
+        assert got.shape == (n, RECORD_SIZE) and got.dtype == np.uint8
+        assert got.tobytes() == oracle_encode(b).tobytes()
+        assert encode_batch(b) == oracle_encode(b).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decode_columns_and_stats(self, n, seed):
+        data = oracle_encode(random_batch(np.random.default_rng(seed), n))
+        data = data.tobytes()  # read-only bytes input
+        assert_same_decode(decode_buffer(data), oracle_decode(data))
+        arr = np.frombuffer(data + b"\x07" * 9, dtype=np.uint8)
+        assert_same_decode(decode_buffer(arr), oracle_decode(arr))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_decode_corrupted_records(self, seed):
+        rng = np.random.default_rng(seed)
+        data = oracle_encode(random_batch(rng, 500)).tobytes()
+        idx = rng.choice(500, size=60, replace=False)
+        bad = corrupt_records(data, idx, rng=np.random.default_rng(seed))
+        assert_same_decode(decode_buffer(bad), oracle_decode(bad))
+
+    def test_garbage_bytes(self):
+        blob = np.random.default_rng(6).integers(
+            0, 256, 64 * 300 + 17, dtype=np.uint8
+        )
+        blob[30::64][:150] = HDR_VADDR
+        blob[55::64][:200] = HDR_TIMESTAMP
+        assert_same_decode(decode_buffer(blob), oracle_decode(blob))
+
+    def test_strict_raises_the_same_error(self):
+        rng = np.random.default_rng(7)
+        data = corrupt_records(
+            oracle_encode(random_batch(rng, 40)).tobytes(), [11, 29]
+        )
+        with pytest.raises(PacketDecodeError) as got:
+            decode_buffer(data, strict=True)
+        with pytest.raises(PacketDecodeError) as want:
+            oracle_decode(data, strict=True)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("size", [1, 7, 63, 65, 127, 1000])
+    def test_decode_stream_at_odd_chunk_sizes(self, size):
+        rng = np.random.default_rng(size)
+        data = corrupt_records(
+            oracle_encode(random_batch(rng, 200)).tobytes() + b"\x01" * 5,
+            [0, 99, 199],
+        )
+        chunks = (data[i : i + size] for i in range(0, len(data), size))
+        assert_same_decode(decode_stream(chunks), oracle_decode(data))
+
+    @pytest.mark.parametrize("n_bad", [0, 5])  # all valid, and some skipped
+    def test_decoded_columns_own_their_memory(self, n_bad):
+        data = corrupt_records(encode_batch(batch(300, seed=8)), range(n_bad))
+        src = np.frombuffer(data, np.uint8).copy()
+        got, stats = decode_buffer(src)
+        assert stats.n_skipped == n_bad
+        want = {c: getattr(got, c).copy() for c in SampleBatch._COLUMNS}
+        src[:] = 0xFF
+        for c in SampleBatch._COLUMNS:
+            assert np.array_equal(getattr(got, c), want[c]), c

@@ -36,6 +36,7 @@ from repro.spe.strategies import (
     HASH_OVERSAMPLE,
     STRATEGIES,
     STRATEGY_NAMES,
+    _renewal_positions,
     check_period,
     get_strategy,
     xorshift_hash,
@@ -235,6 +236,102 @@ class TestStrategyOutputs:
         assert (np.mod(pos + 1, gap) == gap - 1).all() or (
             np.mod(pos - (gap - 1), gap) == 0
         ).all()
+
+
+def _mask_trim_renewal(n_ops, draw, est_gap, carry):
+    """``_renewal_positions`` as it was when it trimmed with two boolean
+    masks, kept to pin the binary-search trim to it."""
+    first = int(carry) if carry is not None else int(draw(1)[0])
+    if n_ops == 0:
+        return np.zeros(0, dtype=np.int64), first
+    if first > n_ops:
+        return np.zeros(0, dtype=np.int64), first - n_ops
+    n_est = int((n_ops - first) // max(1, est_gap)) + 2
+    chunks = [first - 1 + np.concatenate([[0], np.cumsum(draw(n_est))])]
+    last = int(chunks[-1][-1])
+    while last < n_ops - 1:
+        more = last + np.cumsum(draw(n_est))
+        chunks.append(more)
+        last = int(more[-1])
+    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    past = pos[pos >= n_ops]
+    residue = int(past[0]) - (n_ops - 1) if past.size else int(draw(1)[0])
+    return pos[pos < n_ops], residue
+
+
+def _counted(draw):
+    """``draw`` that also records the size of each call in ``.sizes``."""
+    def wrapped(k):
+        wrapped.sizes.append(k)
+        return draw(k)
+    wrapped.sizes = []
+    return wrapped
+
+
+class TestRenewalTrim:
+    """The trim finds the stream's end by one binary search; positions,
+    residue and RNG state equal the two-mask trim's."""
+
+    @staticmethod
+    def check(n_ops, make_draw, est_gap, carry, seed):
+        rng_got, rng_want = (np.random.default_rng(seed) for _ in range(2))
+        draw = _counted(make_draw(rng_got))
+        got = _renewal_positions(n_ops, draw, est_gap, carry)
+        want = _mask_trim_renewal(n_ops, make_draw(rng_want), est_gap, carry)
+        assert got[0].dtype == np.int64
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1] == want[1]
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        # every call but a lone first gap or residue draws one chunk
+        return got[0], sum(k > 1 for k in draw.sizes) - 1
+
+    @pytest.mark.parametrize("n_ops", [1, 2, 3, 64, 5000])
+    @pytest.mark.parametrize("carry", [1, 2, 7])
+    def test_period_one_repeats_positions(self, n_ops, carry):
+        # period 1 reloads the counter with 1 - U{0, 1}: zero gaps, so
+        # positions repeat (the drawn sequence only never decreases)
+        def make_draw(rng):
+            return lambda k: 1 - rng.integers(0, 2, size=k, dtype=np.int64)
+
+        repeats = 0
+        for seed in range(5):
+            pos, _ = self.check(n_ops, make_draw, -1, carry, seed)
+            repeats += int((np.diff(pos) == 0).sum())
+            got = sample_positions(
+                n_ops, 1, False, np.random.default_rng(seed), carry
+            )
+            want = _mask_trim_renewal(
+                n_ops, make_draw(np.random.default_rng(seed)), -1, carry
+            )
+            assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+        if n_ops > carry + 8:
+            assert repeats
+
+    @pytest.mark.parametrize("carry", [None, 3, 900])
+    def test_poisson_top_up(self, carry):
+        # PoissonStrategy's draw with its own gap estimate tops up on
+        # some seeds; an estimate 8x too long tops up on every one
+        def make_draw(rng):
+            def draw(k):
+                gaps = np.rint(rng.exponential(128.0, size=k))
+                return np.maximum(gaps, 1.0).astype(np.int64)
+            return draw
+
+        topped = 0
+        for seed in range(20):
+            _, top_ups = self.check(20_000, make_draw, 128, carry, seed)
+            topped += top_ups > 0
+            _, top_ups = self.check(20_000, make_draw, 1024, carry, seed)
+            assert top_ups > 2
+        assert 0 < topped < 20
+
+    def test_stream_shorter_than_the_carry(self):
+        def make_draw(rng):
+            return lambda k: 4096 - rng.integers(0, 256, size=k, dtype=np.int64)
+
+        for n_ops in (0, 1, 4095, 4096, 4097):
+            self.check(n_ops, make_draw, 3840, 4096, 0)
+            self.check(n_ops, make_draw, 3840, None, 0)
 
 
 class TestPageHotnessWeighting:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cpu.ops import OpKind
 from repro.errors import WorkloadError
-from repro.machine.statcache import AccessClass
+from repro.machine.statcache import AccessClass, StatCacheModel
 from repro.workloads.base import Phase, PhaseOpSource, Workload, hash_uniform
 
 
@@ -178,6 +178,74 @@ class TestPhaseOpSource:
         src = toy.op_source(toy.phases[1], 0)
         chunk = src.materialise(rng)
         assert len(chunk) == src.n_ops
+
+
+class SkippingPhase(Phase):
+    """A phase whose every third op group takes slot ``group``: no memory op."""
+
+    def mem_slots(self, mem_idx):
+        slots = super().mem_slots(mem_idx)
+        return np.where(np.asarray(mem_idx) % 3 == 0, self.group, slots)
+
+
+def thread_addr(mem_idx, thread):
+    mi = np.asarray(mem_idx, dtype=np.uint64)
+    th = np.asarray(thread, dtype=np.uint64)
+    return np.uint64(0x10000) + mi * np.uint64(8) + (th << np.uint64(32))
+
+
+def thread_kinds(mem_idx, thread):
+    return (np.asarray(mem_idx) + np.asarray(thread)) % 3 == 0
+
+
+def reference_op(p, i, thread):
+    """(kind, addr) of op ``i`` of ``thread``, one index at a time, by the
+    rule :meth:`Phase.mem_slots` documents."""
+    m, pos = divmod(int(i), p.group)
+    mi = np.array([m], dtype=np.int64)
+    slot = int(p.mem_slots(mi)[0])
+    if pos == slot:
+        if p.kind_fn is not None:
+            store = bool(p.kind_fn(mi, thread)[0])
+        else:
+            store = bool(hash_uniform(mi, salt=17)[0] < p.store_fraction)
+        return (OpKind.STORE if store else OpKind.LOAD), int(p.addr_fn(mi, thread)[0])
+    if 1 <= (pos - slot) % p.group <= p.flops_per_group:
+        return OpKind.FLOP, 0
+    return OpKind.OTHER, 0
+
+
+class TestOpKindRule:
+    """``ops_at`` is the per-op rule, evaluated over arrays of indices."""
+
+    CASES = [(g, f) for g in range(1, 6) for f in range(g)]
+
+    @pytest.mark.parametrize("phase_cls", [Phase, SkippingPhase])
+    @pytest.mark.parametrize("kind_fn", [None, thread_kinds])
+    @pytest.mark.parametrize("group,flops", CASES)
+    def test_matches_per_index_rule(self, ampere, phase_cls, kind_fn, group, flops):
+        p = phase_cls(
+            "x", 10_000, 1.0, thread_addr, [AccessClass(footprint=1 << 20)],
+            group=group, flops_per_group=flops, kind_fn=kind_fn,
+            store_fraction=0.4,
+        )
+        src = PhaseOpSource(p, 2, StatCacheModel(ampere))
+        rng = np.random.default_rng(group * 10 + flops)
+        idx = np.concatenate(
+            [np.arange(9 * group), rng.integers(0, p.n_ops, 300)]
+        )
+        threads = rng.integers(0, 4, idx.size)
+        for th, per_op in ((None, [2] * idx.size), (threads, threads)):
+            kinds, addrs = src.ops_at(idx, rng, th)
+            assert kinds.dtype == np.uint8 and addrs.dtype == np.uint64
+            want = [reference_op(p, i, int(t)) for i, t in zip(idx, per_op)]
+            assert kinds.tolist() == [k for k, _ in want]
+            assert addrs.tolist() == [a for _, a in want]
+        if phase_cls is SkippingPhase:
+            # every third group really has no memory op
+            kinds, _ = src.ops_at(np.arange(3 * group * 4), rng)
+            groups = kinds.reshape(-1, group)[::3]
+            assert not np.isin(groups, [OpKind.LOAD, OpKind.STORE]).any()
 
 
 class TestHashUniform:
