@@ -105,21 +105,28 @@ class PerfEvent:
 
     def mmap_aux(self, n_pages: int) -> AuxBuffer:
         """Map the SPE aux area; requires the ring to exist (real ABI)."""
-        if self.ring is None:
-            raise PerfError("aux area requires the ring buffer first", "EINVAL")
-        if self.aux is not None:
-            raise PerfError("aux buffer already mapped", "EBUSY")
         if n_pages <= 0 or n_pages & (n_pages - 1):
             raise PerfError(
                 f"aux pages must be a power of two, got {n_pages}"
             )
         watermark = self.attr.aux_watermark or None
-        self.aux = AuxBuffer(
+        return self.attach_aux(AuxBuffer(
             n_pages=n_pages, page_size=self.machine.page_size, watermark=watermark
-        )
+        ))
+
+    def attach_aux(self, aux: AuxBuffer) -> AuxBuffer:
+        """Map a prebuilt buffer as the aux area: one whose page count
+        or watermark the caller fixes (the Fig. 9 sweep's sub-MiB
+        sizes), where :meth:`mmap_aux` takes a power of two and the
+        attr's watermark."""
+        if self.ring is None:
+            raise PerfError("aux area requires the ring buffer first", "EINVAL")
+        if self.aux is not None:
+            raise PerfError("aux buffer already mapped", "EBUSY")
+        self.aux = aux
         self.ring.meta.aux_offset = (1 + self.ring.n_pages) * self.machine.page_size
-        self.ring.meta.aux_size = self.aux.size
-        return self.aux
+        self.ring.meta.aux_size = aux.size
+        return aux
 
     # -- ioctl / read ----------------------------------------------------------------
 

@@ -25,6 +25,7 @@ import numpy as np
 from repro.cpu.clock import GenericTimer
 from repro.cpu.pipeline import PipelineModel
 from repro.errors import NmoError
+from repro.kernel.aux_buffer import AuxBuffer
 from repro.kernel.perf_event import (
     ARM_SPE_PMU_TYPE,
     PERF_EVENT_IOC_ENABLE,
@@ -81,11 +82,15 @@ class ArmSpeBackend:
         )
         ev = perf.perf_event_open(attr, cpu=core)
         ev.mmap_ring(settings.ring_pages(machine.page_size))
-        ev.mmap_aux(settings.aux_pages(machine.page_size))
+        self._map_aux(ev, settings)
         ev.ioctl(PERF_EVENT_IOC_ENABLE)
         sampler = SpeSampler(settings.period, self.config, pipeline, timer, rng)
         driver = SpeDriver(ev, cost)
         return CoreSession(core=core, event=ev, sampler=sampler, driver=driver)
+
+    def _map_aux(self, ev: PerfEvent, settings: NmoSettings) -> None:
+        """Map the session's aux buffer: Table I's size."""
+        ev.mmap_aux(settings.aux_pages(ev.machine.page_size))
 
 
 class FixedAuxPagesBackend(ArmSpeBackend):
@@ -93,7 +98,7 @@ class FixedAuxPagesBackend(ArmSpeBackend):
 
     Table I sizes the aux buffer in whole MiB; the Fig. 9 sweep also
     probes sub-MiB sizes (2-8 pages of 64 KiB), which this backend
-    injects by rebuilding the session's aux buffer.  ``aux_watermark``
+    maps in place of Table I's buffer.  ``aux_watermark``
     optionally overrides the ``PERF_RECORD_AUX`` threshold (perf's
     ``aux_watermark`` attr; default half the buffer) — small watermarks
     reproduce the interrupt-bound corner of the Fig. 9 sweep, where the
@@ -115,20 +120,12 @@ class FixedAuxPagesBackend(ArmSpeBackend):
         self.aux_pages = aux_pages
         self.aux_watermark = aux_watermark
 
-    def open_session(self, perf, core, settings, pipeline, timer, rng, cost):
-        from repro.kernel.aux_buffer import AuxBuffer
-
-        session = super().open_session(
-            perf, core, settings, pipeline, timer, rng, cost
-        )
-        ev = session.event
-        ev.aux = AuxBuffer(
+    def _map_aux(self, ev: PerfEvent, settings: NmoSettings) -> None:
+        ev.attach_aux(AuxBuffer(
             n_pages=self.aux_pages,
-            page_size=perf.machine.page_size,
+            page_size=ev.machine.page_size,
             watermark=self.aux_watermark,
-        )
-        ev.ring.meta.aux_size = ev.aux.size
-        return session
+        ))
 
 
 class X86PebsBackend:

@@ -267,6 +267,11 @@ class NmoProfiler:
         truncated = 0
         phase_spans: list[tuple[str, str, float, float]] = []
         freq = machine.frequency_hz
+        # a session's inertness is fixed for the run: its aux buffer and
+        # enable state do not change while the run feeds it
+        samplers = [sess.sampler for sess in sessions.values()]
+        drivers = [sess.driver for sess in sessions.values()]
+        encode = [not d.inert for d in drivers]
 
         open_tag: str | None = None
         for phase in w.phases:
@@ -278,21 +283,23 @@ class NmoProfiler:
                     ann.nmo_stop(t0)
                 ann.nmo_start(tag, t0)
                 open_tag = tag
+            overheads = None
             if sampling:
-                live = [sessions[t] for t in range(active)]
                 outs = sample_phase(
-                    [sess.sampler for sess in live],
-                    [w.op_source(phase, t) for t in range(active)],
-                    [team[t].cycles for t in range(active)],
-                    encode=[not sess.driver.inert for sess in live],
+                    samplers[:active],
+                    w.op_sources(phase),
+                    [t.cycles for t in team.threads[:active]],
+                    encode=encode[:active],
                 )
-            for tidx in range(active):
-                thread = team[tidx]
-                if sampling:
-                    out = outs[tidx]
-                    res = live[tidx].driver.feed(out)
+                overheads = [0.0] * active
+                for tidx, out in enumerate(outs):
                     st = stats[tidx]
                     st.n_selected += out.n_selected
+                    if not (out.n_kept or out.n_collisions):
+                        # a feed of nothing returns zeros and changes no
+                        # session state
+                        continue
+                    res = drivers[tidx].feed(out)
                     st.n_collisions += out.n_collisions
                     st.n_kept += out.n_kept
                     st.n_written += res.n_written
@@ -305,10 +312,11 @@ class NmoProfiler:
                     if len(res.batch):
                         batches.append(res.batch)
                         batch_core_ids.append(tidx)
-                    thread.charge_overhead(res.overhead_cycles)
-                thread.advance(phase.duration_cycles())
-                n_flops = phase.n_mem_ops * phase.flops_per_group
-                thread.retire(phase.n_ops, phase.n_mem_ops, n_flops)
+                    overheads[tidx] = res.overhead_cycles
+            team.run_phase(
+                active, phase.duration_cycles(), phase.n_ops, phase.n_mem_ops,
+                phase.n_mem_ops * phase.flops_per_group, overheads,
+            )
             team.barrier()
             t1 = team.max_cycles / freq
             phase_spans.append((phase.name, tag, t0, t1))

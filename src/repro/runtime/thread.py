@@ -8,6 +8,7 @@ private cycle clock, and accumulates op counts that feed the PMU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import MachineError
 
@@ -74,6 +75,44 @@ class ThreadTeam:
     def max_cycles(self) -> float:
         """Team wall-clock: the slowest thread (implicit barrier)."""
         return max(t.cycles for t in self.threads)
+
+    def run_phase(
+        self,
+        n_active: int,
+        cycles: float,
+        n_ops: int,
+        n_mem: int = 0,
+        n_flops: int = 0,
+        overheads: Sequence[float] | None = None,
+    ) -> None:
+        """Run threads ``0 .. n_active-1`` through one phase.
+
+        Each thread is charged its profiling overhead ``overheads[i]``
+        (none if omitted), then advances ``cycles`` and retires the
+        phase's ops, with the float additions in that order, exactly as
+        :meth:`SimThread.charge_overhead`, :meth:`~SimThread.advance` and
+        :meth:`~SimThread.retire` would; their checks run once.
+        """
+        if not 0 <= n_active <= self.n_threads:
+            raise MachineError(
+                f"{n_active} active threads in a team of {self.n_threads}"
+            )
+        if cycles < 0:
+            raise MachineError("thread clock cannot move backwards")
+        if min(n_ops, n_mem, n_flops) < 0 or n_mem + n_flops > n_ops:
+            raise MachineError("inconsistent retire counts")
+        if overheads is None:
+            overheads = [0.0] * n_active
+        elif len(overheads) != n_active:
+            raise MachineError("need one overhead per active thread")
+        elif n_active and min(overheads) < 0:
+            raise MachineError("overhead must be >= 0")
+        for t, extra in zip(self.threads[:n_active], overheads):
+            t.overhead_cycles += extra
+            t.cycles = t.cycles + extra + cycles
+            t.ops_retired += n_ops
+            t.mem_ops_retired += n_mem
+            t.flops_retired += n_flops
 
     def barrier(self) -> None:
         """Align every thread's clock to the slowest (OpenMP join)."""

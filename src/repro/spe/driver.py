@@ -281,8 +281,9 @@ class SpeDriver:
             return self._reference_feed(out)
         if max(1, aux.watermark // RECORD_SIZE) * RECORD_SIZE > aux.size:
             return self._reference_feed(out)
-        if aux.pending_signal() != self._pending_rec * RECORD_SIZE or (
-            aux.head - aux.tail != aux.pending_signal()
+        pending = aux.pending_signal()
+        if pending != self._pending_rec * RECORD_SIZE or (
+            aux.head - aux.tail != pending
         ):
             # someone moved the ring out from under the session
             return self._reference_feed(out)
@@ -413,7 +414,9 @@ class SpeDriver:
         one packed ring write, and one decode over every serviced byte —
         the bytes still physically round-trip the aux ring, just without
         a Python iteration per watermark crossing.  A feed that crosses
-        no watermark costs the plan and one ring write.
+        no watermark builds no plan: it drops the carried torn prefix and
+        writes the rest to the ring in one :meth:`AuxBuffer.write` (the
+        ring holds only the sub-watermark carry, so nothing overflows).
         """
         aux = self.event.aux
         ring = self.event.ring
@@ -425,34 +428,41 @@ class SpeDriver:
         n = records.shape[0]
 
         wm_rec = max(1, aux.watermark // RECORD_SIZE)
+        urc = self.cost.user_record_cycles
+        torn = min(self._pending_loss, n)
+        written = n - torn
+        if written < wm_rec - self._pending_rec:
+            if written and aux.write(records[torn:].reshape(-1)) != (
+                written * RECORD_SIZE
+            ):
+                raise SpeError("aux overflow below the watermark")
+            self._pending_rec += written
+            self._pending_loss -= torn
+            self.total_lost += torn
+            self.total_written += written
+            self._prev_lost = self._prev_lost or torn > 0
+            return DriverResult(
+                batch=_NO_SAMPLES,
+                n_input=n,
+                n_written=written,
+                n_lost_stall=torn,
+                n_wakeups=0,
+                overhead_cycles=written * urc if written else 0.0,
+                truncated_records=0,
+                decode=_NO_DECODE,
+            )
+
         loss_window = self._loss_window
         plan = plan_feed_epochs(
             n, wm_rec, self._pending_rec, self._pending_loss, loss_window
         )
         n_services = plan.n_services
         wm_bytes = wm_rec * RECORD_SIZE
-        urc = self.cost.user_record_cycles
         carry_rec = self._pending_rec
         self._pending_rec = plan.pending_rec_end
         self._pending_loss = plan.pending_loss_end
         self.total_lost += plan.lost
         self.total_written += plan.written
-        if n_services == 0:
-            aux.stream_paced(
-                records[plan.d0 :].reshape(-1), n_drains=0,
-                drain_bytes=wm_bytes, return_signals=False,
-            )
-            self._prev_lost = self._prev_lost or plan.d0 > 0
-            return DriverResult(
-                batch=_NO_SAMPLES,
-                n_input=n,
-                n_written=plan.written,
-                n_lost_stall=plan.lost,
-                n_wakeups=0,
-                overhead_cycles=plan.written * urc if plan.written else 0.0,
-                truncated_records=0,
-                decode=_NO_DECODE,
-            )
 
         rows = records[feed_written_mask(plan)]
         first_lost = self._prev_lost or plan.d0 > 0

@@ -211,7 +211,9 @@ def decode_stream(
     ever materialising the concatenated stream.  Decoding is row-wise,
     so the result is identical to :func:`decode_buffer` over the joined
     bytes: per-chunk batches concatenate and per-chunk stats sum, with
-    ``trailing_bytes`` counting the final partial record.
+    ``trailing_bytes`` counting the final partial record.  A stream that
+    decodes in one piece returns that piece's batch as is (its columns
+    are copies already, aliasing no chunk).
     """
     batches: list[SampleBatch] = []
     n_records = n_valid = n_skipped = 0
@@ -233,7 +235,8 @@ def decode_stream(
             n_skipped += stats.n_skipped
         # the tail may alias a buffer the producer is about to reuse
         carry = arr[usable:].copy()
-    return SampleBatch.concat(batches), DecodeStats(
+    batch = batches[0] if len(batches) == 1 else SampleBatch.concat(batches)
+    return batch, DecodeStats(
         n_records=n_records,
         n_valid=n_valid,
         n_skipped=n_skipped,

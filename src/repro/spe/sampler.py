@@ -29,6 +29,7 @@ timestamps and record encoding run once over the phase's samples.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -43,9 +44,9 @@ from repro.spe.packets import RECORD_SIZE, encode_records
 from repro.spe.records import SampleBatch
 from repro.spe.refpath import reference_active
 from repro.spe.strategies import (
-    _renewal_positions,
     check_period,
     get_strategy,
+    sample_positions,
 )
 
 
@@ -128,34 +129,6 @@ class TraceOpSource:
         )
 
 
-def sample_positions(
-    n_ops: int,
-    period: int,
-    jitter: bool,
-    rng: np.random.Generator,
-    carry: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Indices selected by the interval counter, plus the carried counter.
-
-    SPE always perturbs the counter reload slightly — "when the counter
-    reaches zero, with some random perturbation added to avoid bias, an
-    operation is selected" (paper §II-A) — otherwise periodic code would
-    alias with the sampling interval.  The ``jitter`` config bit widens
-    that window from the inherent ``period/256`` to ``period/16``.
-
-    ``carry`` is the counter value left over from the previous op stream
-    (the hardware counter runs continuously across program phases);
-    the second return value is the residue to pass to the next stream.
-    """
-    check_period(period)
-    window = max(2, period // 16) if jitter else max(2, period // 256)
-
-    def draw(k: int) -> np.ndarray:
-        return period - rng.integers(0, window, size=k, dtype=np.int64)
-
-    return _renewal_positions(n_ops, draw, period - window, carry)
-
-
 def _reference_collision_scan(
     select_cycles: np.ndarray, latencies: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -188,6 +161,11 @@ def _reference_collision_scan(
 _SCAN_BLOCK = 16384
 #: estimated keep fraction below which the lazy per-step search wins
 _SCAN_SPARSE_FRAC = 1 / 16
+#: streams of at most this many samples take one scalar pass: it costs
+#: ~3 us plus ~0.1-0.2 us per sample, the successor map ~12 us before
+#: its walk, so the pass wins at every density measured up to here
+#: (collision-heavy streams break even near 100 samples)
+_SCAN_SHORT = 96
 
 
 def _successor_blocks(t: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -215,12 +193,15 @@ def collision_scan(
     number of collisions).
 
     Bit-identical to :func:`_reference_collision_scan` but never walks
-    the full stream in Python.  The key structural fact: because
+    a long stream in Python.  The key structural fact: because
     ``select_cycles`` is sorted, a kept sample at ``j`` drops exactly
     the *contiguous* run of following samples with ``t < t[j] + lat[j]``
     — so the kept set is the orbit of index 0 under a "next kept"
     successor map, and only the ``n_kept`` chain nodes need any scalar
-    work.  Two exact strategies, picked by a cheap density probe:
+    work.  A stream of at most ``_SCAN_SHORT`` samples is walked in one
+    scalar pass over the same doubles instead (the successor map's fixed
+    cost exceeds the walk there).  Longer streams take one of two exact
+    strategies, picked by a cheap density probe:
 
     * **dense** (many survivors): the successor map is materialised with
       blocked vectorized ``searchsorted`` passes and the chain is walked
@@ -236,11 +217,12 @@ def collision_scan(
     n = select_cycles.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool), 0
-    gaps = np.diff(select_cycles)
-    if gaps.size == 0 or gaps.min() >= latencies.max():
-        return np.ones(n, dtype=bool), 0  # fast path: no overlap possible
     t = np.ascontiguousarray(select_cycles, dtype=np.float64)
     end = t + np.asarray(latencies, dtype=np.float64)
+    if n <= _SCAN_SHORT:
+        return _short_scan(t.tolist(), end.tolist())
+    if (select_cycles[1:] - select_cycles[:-1]).min() >= latencies.max():
+        return np.ones(n, dtype=bool), 0  # fast path: no overlap possible
 
     kept: list[int] | None = None
     if n >= 4096:
@@ -266,6 +248,21 @@ def collision_scan(
     keep = np.zeros(n, dtype=bool)
     keep[kept] = True
     return keep, n - len(kept)
+
+
+def _short_scan(t: list[float], end: list[float]) -> tuple[np.ndarray, int]:
+    """The tracker walked sample by sample: ``end[j]`` frees it after a
+    kept sample ``j``; returns (keep mask, number of collisions)."""
+    dropped: list[int] = []
+    busy_until = end[0]
+    for j in range(1, len(t)):
+        if t[j] < busy_until:
+            dropped.append(j)
+        else:
+            busy_until = end[j]
+    keep = np.ones(len(t), dtype=bool)
+    keep[dropped] = False
+    return keep, len(dropped)
 
 
 def _sparse_chain_walk(
@@ -389,7 +386,8 @@ class CoreDraws:
     samples in one call.  A draw of ``sum(sizes)`` values takes
     ``sizes[i]`` of them from core ``i``'s own generator, in core order,
     so each core's stream advances exactly as if the core had drawn for
-    its own samples alone.  A draw of any other length raises.
+    its own samples alone.  A draw of any other length raises.  Each
+    draw fills one array, core by core.
     """
 
     def __init__(
@@ -399,22 +397,32 @@ class CoreDraws:
         self.sizes = sizes
         self.total = sum(sizes)
 
-    def _draw(self, n: int, draw) -> np.ndarray:
+    def _shares(self, n: int):
+        """(generator, start, end) of each core's share of a draw of ``n``."""
         if n != self.total:
             raise SpeError(
                 f"a draw of {n} values does not split into the cores' "
                 f"shares of {self.total}"
             )
-        parts = [draw(rng, k) for rng, k in zip(self.rngs, self.sizes) if k]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        a = 0
+        for rng, k in zip(self.rngs, self.sizes):
+            if k:
+                yield rng, a, a + k
+                a += k
 
     def random(self, size: int) -> np.ndarray:
-        return self._draw(int(size), lambda rng, k: rng.random(k))
+        out = np.empty(int(size))
+        for rng, a, b in self._shares(out.shape[0]):
+            rng.random(out=out[a:b])
+        return out
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:
-        return self._draw(
-            int(np.prod(size)), lambda rng, k: rng.uniform(low, high, k)
-        )
+        # the latency jitter passes a shape (a 1-tuple)
+        n = math.prod(size) if isinstance(size, tuple) else int(size)
+        out = np.empty(n)
+        for rng, a, b in self._shares(n):
+            out[a:b] = rng.uniform(low, high, b - a)
+        return out
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -451,7 +459,7 @@ def sample_phase(
     """Sample one code region on several cores in one step.
 
     ``samplers[i]`` samples ``sources[i]``, its core's stream of the
-    region (for a workload phase, ``Workload.op_source(phase, i)``),
+    region (for a workload phase, ``Workload.op_sources(phase)[i]``),
     from core cycle ``start_cycles[i]``.  The samplers are one
     profiler's sessions: they share ``samplers[0]``'s filter config,
     pipeline model and timer, and ``sources[0]`` describes every core's

@@ -11,8 +11,8 @@ achieved rate drifts from the target.  This module makes the selection
 rule a pluggable axis of :class:`~repro.spe.sampler.SpeSampler`:
 
 * ``periodic`` — the paper's behaviour, delegated verbatim to
-  :func:`repro.spe.sampler.sample_positions` so the default path stays
-  byte-identical (golden-parity pinned),
+  :func:`sample_positions` (which :mod:`repro.spe.sampler` exports) so
+  the default path stays byte-identical (golden-parity pinned),
 * ``poisson`` — exponential inter-arrival gaps with mean ``period``
   (a renewal process; memoryless, so periodic code cannot alias),
 * ``addr_hash`` — oversampled candidate grid filtered by an XOR-shift
@@ -56,6 +56,7 @@ __all__ = [
     "SamplingStrategy",
     "check_period",
     "get_strategy",
+    "sample_positions",
     "xorshift_hash",
 ]
 
@@ -141,10 +142,9 @@ def _renewal_positions(
     """Positions of a renewal process with gap sampler ``draw(k)``, plus
     the residue to carry into the next stream.
 
-    The one chunked top-up skeleton behind
-    :func:`repro.spe.sampler.sample_positions` (jittered interval
-    counter) and the Poisson-timed strategies; ``est_gap`` estimates
-    the mean gap and sizes each chunk.
+    The one chunked top-up skeleton behind :func:`sample_positions`
+    (jittered interval counter) and the Poisson-timed strategies;
+    ``est_gap`` estimates the mean gap and sizes each chunk.
     """
     if n_ops < 0:
         raise SpeError("n_ops must be >= 0")
@@ -162,7 +162,7 @@ def _renewal_positions(
     n_est = int((n_ops - first) // max(1, est_gap)) + 2
     head = np.empty(n_est + 1, dtype=np.int64)
     head[0] = 0
-    np.cumsum(draw(n_est), out=head[1:])
+    draw(n_est).cumsum(out=head[1:])
     head += first - 1
     chunks = [head]
     last = int(head[-1])
@@ -178,6 +178,39 @@ def _renewal_positions(
     return pos[:cut], residue
 
 
+def sample_positions(
+    n_ops: int,
+    period: int,
+    jitter: bool,
+    rng: np.random.Generator,
+    carry: int | None = None,
+) -> tuple[np.ndarray, int]:
+    """Indices selected by the interval counter, plus the carried counter.
+
+    SPE always perturbs the counter reload slightly — "when the counter
+    reaches zero, with some random perturbation added to avoid bias, an
+    operation is selected" (paper §II-A) — otherwise periodic code would
+    alias with the sampling interval.  The ``jitter`` config bit widens
+    that window from the inherent ``period/256`` to ``period/16``.
+
+    ``carry`` is the counter value left over from the previous op stream
+    (the hardware counter runs continuously across program phases);
+    the second return value is the residue to pass to the next stream.
+
+    The window never exceeds the period, so every reload is at least 1:
+    at period 1 every op is selected (and ``integers(0, 1)`` draws no
+    random bits).
+    """
+    check_period(period)
+    window = min(period, max(2, period // (16 if jitter else 256)))
+
+    def draw(k: int) -> np.ndarray:
+        gaps = rng.integers(0, window, size=k, dtype=np.int64)
+        return np.subtract(period, gaps, out=gaps)
+
+    return _renewal_positions(n_ops, draw, period - window, carry)
+
+
 class PeriodicStrategy:
     """The paper's interval counter: delegates to ``sample_positions``.
 
@@ -191,8 +224,6 @@ class PeriodicStrategy:
 
     def sample(self, source, period, jitter, rng, carry=None):
         """Interval-counter positions via the original implementation."""
-        from repro.spe.sampler import sample_positions
-
         return sample_positions(source.n_ops, period, jitter, rng, carry)
 
     def page_sample_weight(self, page_addrs):

@@ -390,14 +390,28 @@ class Workload(abc.ABC):
         self.placement = placement
 
     def op_source(self, phase: Phase, thread: int) -> PhaseOpSource:
-        if id(phase) not in self._phase_ids:
-            raise WorkloadError("phase does not belong to this workload")
+        self._check_phase(phase)
         if not 0 <= thread < self.phase_threads(phase):
             raise WorkloadError(f"thread {thread} not active in phase {phase.name}")
         return PhaseOpSource(
             phase, thread, self.stat, sharers=self.phase_sharers(phase),
             placement=self.placement,
         )
+
+    def op_sources(self, phase: Phase) -> list[PhaseOpSource]:
+        """Every active thread's source of ``phase``, in thread order
+        (:meth:`op_source` of each, with the phase checked once)."""
+        self._check_phase(phase)
+        sharers = self.phase_sharers(phase)
+        return [
+            PhaseOpSource(phase, t, self.stat, sharers=sharers,
+                          placement=self.placement)
+            for t in range(self.phase_threads(phase))
+        ]
+
+    def _check_phase(self, phase: Phase) -> None:
+        if id(phase) not in self._phase_ids:
+            raise WorkloadError("phase does not belong to this workload")
 
     # -- aggregates (the "perf stat" ground truth) -----------------------------------
 

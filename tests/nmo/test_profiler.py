@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+import repro.nmo.profiler as profiler_module
+from repro.nmo.backends import ArmSpeBackend
 from repro.nmo.env import NmoMode, NmoSettings
 from repro.nmo.profiler import NmoProfiler, sampling_accuracy
 from repro.errors import NmoError
+from repro.spe.config import SpeConfig
+from repro.spe.driver import SpeDriver
+from repro.spe.refpath import reference_path
+from repro.workloads.registry import make_workload
 from repro.workloads.stream import StreamWorkload
 from repro.workloads.bfs import BfsWorkload
+from tests.spe.test_golden_parity_profile import assert_profiles_identical
 
 
 def stream(machine, threads=8, elems=1 << 18):
@@ -211,3 +218,59 @@ class TestPebsPortability:
         assert r.samples_processed > 0
         assert r.collisions == 0  # PEBS backend does not collide
         assert r.accuracy > 0.8
+
+
+class TestRecordPath:
+    """A core pays for its samples: the driver is fed once per (phase,
+    core) pair that kept or collided with a sample, and a profile is
+    the one the scalar reference path produces."""
+
+    SETTINGS = NmoSettings(enable=True, mode=NmoMode.SAMPLING, period=256)
+
+    def profile(self, machine, config):
+        w = make_workload("cfd", machine, n_threads=32, scale=1 / 8192)
+        return NmoProfiler(
+            w, self.SETTINGS, seed=3, backend=ArmSpeBackend(config)
+        ).run()
+
+    @pytest.mark.parametrize("config", [
+        SpeConfig.loads_and_stores(), SpeConfig(loads=False, stores=True)
+    ], ids=["loads_and_stores", "stores_only"])
+    def test_one_feed_per_pair_with_a_kept_or_collided_sample(
+        self, ampere, monkeypatch, config
+    ):
+        steps, fed = [], []
+        step, feed = profiler_module.sample_phase, SpeDriver.feed
+        monkeypatch.setattr(
+            profiler_module, "sample_phase",
+            lambda *a, **k: steps.append(step(*a, **k)) or steps[-1],
+        )
+        monkeypatch.setattr(
+            SpeDriver, "feed", lambda drv, out: fed.append(out) or feed(drv, out)
+        )
+        got = self.profile(ampere, config)
+        outs = [out for phase in steps for out in phase]
+        want = [out for out in outs if out.n_kept or out.n_collisions]
+        assert len(fed) == len(want)
+        assert all(a is b for a, b in zip(fed, want))
+        assert any(not (o.n_kept or o.n_collisions) for o in outs)
+        if not config.loads:
+            # the filter drops every load the tracker kept, so a core
+            # can collide without keeping a sample
+            assert any(o.n_collisions and not o.n_kept for o in outs)
+        # a core fed nothing still counts its selections
+        assert sum(st.n_selected for st in got.per_thread) == sum(
+            o.n_selected for o in outs
+        )
+        monkeypatch.undo()
+        with reference_path():
+            ref = self.profile(ampere, config)
+        assert got.n_samples > 0 and got.collisions > 0
+        assert_profiles_identical(got, ref)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_period_one_selects_every_op(self, ampere, seed):
+        w = StreamWorkload(ampere, n_threads=1, n_elems=1 << 10, iterations=3)
+        settings = NmoSettings(enable=True, mode=NmoMode.SAMPLING, period=1)
+        r = NmoProfiler(w, settings, seed=seed).run()
+        assert r.per_thread[0].n_selected == w.total_ops()

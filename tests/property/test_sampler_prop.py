@@ -10,7 +10,7 @@ from repro.spe.sampler import collision_scan, sample_positions
 class TestSamplePositionProperties:
     @given(
         st.integers(0, 2_000_000),
-        st.integers(64, 100_000),
+        st.integers(1, 100_000),
         st.booleans(),
         st.integers(0, 2**31),
     )

@@ -71,3 +71,48 @@ class TestThreadTeam:
     def test_empty_team_rejected(self):
         with pytest.raises(MachineError):
             ThreadTeam(0)
+
+
+class TestRunPhase:
+    """One team step per phase equals each thread's charge, advance and
+    retire, float additions in that order."""
+
+    def test_equals_the_per_thread_calls(self):
+        team, alone = ThreadTeam(5), ThreadTeam(5)
+        for i, (a, b) in enumerate(zip(team, alone)):
+            a.cycles = b.cycles = 0.1 * (i + 1)
+        overheads = [0.0, 1e-17, 0.3, 7.7e15, 0.0]
+        for _ in range(3):
+            team.run_phase(4, 1e16 / 3, 12, 4, 6, overheads[:4])
+            for t, extra in zip(alone.threads[:4], overheads):
+                t.charge_overhead(extra)
+                t.advance(1e16 / 3)
+                t.retire(12, 4, 6)
+        for a, b in zip(team, alone):
+            assert (a.cycles, a.overhead_cycles) == (b.cycles, b.overhead_cycles)
+            assert (a.ops_retired, a.mem_ops_retired, a.flops_retired) == (
+                b.ops_retired, b.mem_ops_retired, b.flops_retired
+            )
+        # the fifth thread was not active
+        assert team[4].cycles == 0.5 and team[4].ops_retired == 0
+
+    def test_without_overheads_the_threads_only_advance(self):
+        team = ThreadTeam(2)
+        team.run_phase(2, 10.0, 8, 2)
+        assert [t.cycles for t in team] == [10.0, 10.0]
+        assert team.total_overhead_cycles == 0 and team.total_ops == 16
+
+    @pytest.mark.parametrize("kw", [
+        dict(n_active=3, cycles=1.0, n_ops=1),
+        dict(n_active=-1, cycles=1.0, n_ops=1),
+        dict(n_active=2, cycles=-1.0, n_ops=1),
+        dict(n_active=2, cycles=1.0, n_ops=1, n_mem=1, n_flops=1),
+        dict(n_active=2, cycles=1.0, n_ops=-1),
+        dict(n_active=2, cycles=1.0, n_ops=1, overheads=[1.0]),
+        dict(n_active=2, cycles=1.0, n_ops=1, overheads=[1.0, -1.0]),
+    ])
+    def test_validation(self, kw):
+        team = ThreadTeam(2)
+        with pytest.raises(MachineError):
+            team.run_phase(**kw)
+        assert all(t.cycles == 0 and t.ops_retired == 0 for t in team)

@@ -23,7 +23,8 @@ from repro.spe.config import SpeConfig
 from repro.spe.driver import SpeCostModel
 from repro.spe.packets import encode_records
 from repro.spe.records import SampleBatch
-from repro.spe.sampler import SpeSampler, _cores_with, sample_phase
+from repro.errors import SpeError
+from repro.spe.sampler import CoreDraws, SpeSampler, _cores_with, sample_phase
 from repro.workloads.registry import make_workload, workload_names
 
 #: (n_threads, scale) per workload: 2 to 4 threads, 3 leaving a
@@ -186,3 +187,52 @@ def test_an_inert_session_counts_its_records_without_encoding():
         assert_same_output(outs[core], solos[core], f"core {core}")
     for s, t in zip(sessions, alone):
         assert s.sampler.rng.bit_generator.state == t.rng.bit_generator.state
+
+
+class TestCoreDraws:
+    """A phase draw fills one array core by core: its values and every
+    core's generator state are those of each core drawing its own share,
+    and a core with no share draws nothing."""
+
+    SIZES = [3, 0, 5, 0, 1, 2]
+
+    def rngs(self):
+        return [np.random.default_rng([7, core]) for core in range(6)]
+
+    def test_values_and_states_equal_per_core_draws(self):
+        together, alone = self.rngs(), self.rngs()
+        total = sum(self.SIZES)
+        # a phase draws the level uniforms, then the latency jitter
+        got_r = CoreDraws(together, self.SIZES).random(total)
+        got_u = CoreDraws(together, self.SIZES[::-1]).uniform(
+            0.9, 1.1, (total,)
+        )
+        want_r = [rng.random(k) for rng, k in zip(alone, self.SIZES) if k]
+        want_u = [
+            rng.uniform(0.9, 1.1, k)
+            for rng, k in zip(alone, self.SIZES[::-1]) if k
+        ]
+        assert got_r.dtype == got_u.dtype == np.float64
+        assert got_r.tolist() == np.concatenate(want_r).tolist()
+        assert got_u.tolist() == np.concatenate(want_u).tolist()
+        for core, (a, b) in enumerate(zip(together, alone)):
+            assert a.bit_generator.state == b.bit_generator.state, core
+
+    def test_cores_with_no_share(self):
+        rngs = self.rngs()[:2]
+        states = [rng.bit_generator.state for rng in rngs]
+        draws = CoreDraws(rngs, [0, 0])
+        assert draws.random(0).shape == (0,)
+        assert draws.uniform(0.9, 1.1, (0,)).shape == (0,)
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+    @pytest.mark.parametrize("n", [0, 10, 12])
+    def test_a_draw_of_the_wrong_length_raises(self, n):
+        rngs = self.rngs()
+        states = [rng.bit_generator.state for rng in rngs]
+        draws = CoreDraws(rngs, self.SIZES)
+        with pytest.raises(SpeError, match="does not split"):
+            draws.random(n)
+        with pytest.raises(SpeError, match="does not split"):
+            draws.uniform(0.9, 1.1, (n,))
+        assert [rng.bit_generator.state for rng in rngs] == states

@@ -15,6 +15,7 @@ from repro.spe.sampler import (
     collision_scan,
     sample_positions,
 )
+from repro.spe.strategies import _renewal_positions
 
 
 class TestSamplePositions:
@@ -71,6 +72,35 @@ class TestSamplePositions:
     def test_bad_carry(self, rng):
         with pytest.raises(SpeError):
             sample_positions(100, 10, False, rng, carry=0)
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_period_one_selects_every_op(self, jitter):
+        # the perturbation window is clamped to the period: every reload
+        # is 1, so no gap is 0 and no first draw is an invalid carry
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            pos, carry = sample_positions(1000, 1, jitter, rng)
+            assert pos.tolist() == list(range(1000)) and carry == 1
+            assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("period", [2, 3, 17, 256, 4096])
+    def test_the_window_clamp_moves_no_period_above_one(self, period, jitter):
+        # the gap draw every period >= 2 made before the clamp
+        window = max(2, period // 16) if jitter else max(2, period // 256)
+        for seed in range(3):
+            rng, twin = (np.random.default_rng(seed) for _ in range(2))
+            got = sample_positions(50_000, period, jitter, rng, carry=None)
+            want = _renewal_positions(
+                50_000,
+                lambda k: period - twin.integers(0, window, size=k,
+                                                 dtype=np.int64),
+                period - window,
+                None,
+            )
+            assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestCollisionScan:

@@ -288,8 +288,10 @@ class TestRenewalTrim:
     @pytest.mark.parametrize("n_ops", [1, 2, 3, 64, 5000])
     @pytest.mark.parametrize("carry", [1, 2, 7])
     def test_period_one_repeats_positions(self, n_ops, carry):
-        # period 1 reloads the counter with 1 - U{0, 1}: zero gaps, so
-        # positions repeat (the drawn sequence only never decreases)
+        # a reload of 1 - U{0, 1} has zero gaps, so the renewal trim
+        # sees repeated positions (the drawn sequence only never
+        # decreases); sample_positions clamps its window to the period,
+        # so at period 1 it never draws such a gap
         def make_draw(rng):
             return lambda k: 1 - rng.integers(0, 2, size=k, dtype=np.int64)
 
@@ -297,13 +299,13 @@ class TestRenewalTrim:
         for seed in range(5):
             pos, _ = self.check(n_ops, make_draw, -1, carry, seed)
             repeats += int((np.diff(pos) == 0).sum())
-            got = sample_positions(
-                n_ops, 1, False, np.random.default_rng(seed), carry
-            )
-            want = _mask_trim_renewal(
-                n_ops, make_draw(np.random.default_rng(seed)), -1, carry
-            )
-            assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            got, residue = sample_positions(n_ops, 1, False, rng, carry)
+            # every op from the carry on is selected, and no bits drawn
+            assert got.tolist() == list(range(carry - 1, n_ops))
+            assert residue == (1 if carry <= n_ops else carry - n_ops)
+            assert rng.bit_generator.state == state
         if n_ops > carry + 8:
             assert repeats
 

@@ -4,11 +4,12 @@ to the retained scalar references.
 Covers the three fast paths the perf rewrite introduced:
 
 * :func:`collision_scan` vs :func:`_reference_collision_scan` across the
-  dense and sparse strategies (and the density-probe bail-out),
+  short scalar pass, the dense and sparse strategies (and the
+  density-probe bail-out),
 * :meth:`SpeDriver._planned_feed` vs :meth:`SpeDriver._reference_feed`
-  including wrap-around, sub-watermark carry, torn-loss carry across
-  phases, COLLISION/TRUNCATED flag schedules, ring-buffer overflow, and
-  end state of every buffer byte,
+  including wrap-around, sub-watermark carry (the feeds that build no
+  plan), torn-loss carry across phases, COLLISION/TRUNCATED flag
+  schedules, ring-buffer overflow, and end state of every buffer byte,
 * the bulk buffer primitives (:meth:`AuxBuffer.stream_paced`,
   :meth:`RingBuffer.write_records_packed`) vs their incremental
   equivalents.
@@ -128,6 +129,68 @@ class TestCollisionScanParity:
             keep, coll = collision_scan(t, lat)
         keep_r, coll_r = _reference_collision_scan(t, lat)
         assert coll == coll_r and (keep == keep_r).all()
+
+
+def short_scan_case(mode: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Streams for the short scalar pass, in the profiler's float64."""
+    if mode == 0:  # ties: runs of equal select cycles
+        t = np.sort(rng.integers(0, n // 3 + 1, n)).astype(np.float64) * 50
+        return t, rng.uniform(1, 120, n)
+    if mode == 1:  # zero latencies, some ties
+        t = np.sort(rng.integers(0, 2 * n, n)).astype(np.float64)
+        return t, np.zeros(n)
+    if mode == 2:  # windows spanning several samples, some zero
+        t = np.cumsum(rng.uniform(5, 15, n))
+        lat = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(20, 80, n))
+        return t, lat
+    if mode == 3:  # exact busy-boundary ties (>= vs > semantics)
+        return np.arange(n, dtype=np.float64) * 100, np.full(n, 100.0)
+    if mode == 4:  # no window reaches the next selection
+        return np.arange(n, dtype=np.float64) * 100, rng.uniform(0, 99, n)
+    # the exhibit regime: CFD-like gaps and loaded latencies
+    return np.cumsum(rng.uniform(50, 400, n)), rng.uniform(20, 600, n)
+
+
+class TestShortCollisionScan:
+    """Streams of at most ``_SCAN_SHORT`` samples take one scalar pass;
+    every length on both sides of the switch matches the reference."""
+
+    @pytest.mark.parametrize("mode", range(6))
+    def test_every_length_around_the_switch(self, mode):
+        from repro.spe.sampler import _SCAN_SHORT
+
+        rng = np.random.default_rng(200 + mode)
+        lengths = [*range(1, 3 * _SCAN_SHORT + 1), 1000, 4097, 9000]
+        for n in lengths:
+            t, lat = short_scan_case(mode, n, rng)
+            keep_v, coll_v = collision_scan(t, lat)
+            keep_r, coll_r = _reference_collision_scan(t, lat)
+            assert keep_v.dtype == bool and keep_v.shape == (n,), n
+            assert coll_v == coll_r, (mode, n)
+            assert (keep_v == keep_r).all(), (mode, n)
+
+    def test_the_switch_is_pinned(self, monkeypatch):
+        """``_SCAN_SHORT`` samples take the scalar pass, one more the
+        successor map."""
+        import repro.spe.sampler as sampler
+
+        calls = []
+        for name in ("_short_scan", "_successor_blocks"):
+            fn = getattr(sampler, name)
+            monkeypatch.setattr(
+                sampler, name,
+                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a),
+            )
+        assert sampler._SCAN_SHORT == 96
+        for n, path in ((1, "_short_scan"), (96, "_short_scan"),
+                        (97, "_successor_blocks")):
+            calls.clear()
+            t = np.arange(n, dtype=np.float64)
+            keep, coll = collision_scan(t, np.full(n, 2.5))
+            assert calls == [path], n
+            # each kept sample's window drops the next two
+            assert keep.tolist() == [j % 3 == 0 for j in range(n)]
+            assert coll == n - (n + 2) // 3
 
 
 # -- feed parity harness -----------------------------------------------------------
@@ -309,6 +372,63 @@ class TestFeedParity:
                 cost=SpeCostModel(service_loss_records=loss),
                 watermark=wm,
             )
+
+    @pytest.mark.parametrize("aux_pages", [4, 2], ids=["working", "inert"])
+    def test_small_feeds_under_the_watermark_then_across(self, ampere, aux_pages):
+        # feeds of a few records stay under a 64-record watermark (one
+        # ring write each), two cross it; the torn window the services
+        # leave outlasts several small feeds, and two feeds report
+        # collisions (the COLLISION flag rides the next AUX record)
+        run_both(
+            ampere,
+            phases=[(300, 0), (500, 1), (1_000, 2), (2_000, 3), (8_000, 4),
+                    (400, 5), (600, 6), (300, 7), (900, 8), (20_000, 9),
+                    (500, 10), (100, 11), (0, 12)],
+            cost=SpeCostModel(service_loss_records=25),
+            aux_pages=aux_pages,
+            watermark=64 * 64,
+            with_collisions={1, 6},
+        )
+
+    def test_a_feed_under_the_watermark_builds_no_plan(self, ampere, monkeypatch):
+        import repro.spe.driver as driver
+
+        plans = []
+        plan = driver.plan_feed_epochs
+        monkeypatch.setattr(
+            driver, "plan_feed_epochs", lambda *a: plans.append(a) or plan(*a)
+        )
+        ev = open_event(ampere, watermark=64 * 64)
+        drv = SpeDriver(ev, SpeCostModel(service_loss_records=25))
+        small = drv.feed(sampled(ampere, 3_000, 0))
+        assert 0 < small.n_written < 64 and small.n_wakeups == 0
+        assert plans == [] and ev.aux.head == small.n_written * 64
+        crossing = drv.feed(sampled(ampere, 8_000, 1))
+        assert crossing.n_wakeups == 1 and len(plans) == 1
+
+    @pytest.mark.parametrize("aux_pages", [4, 2], ids=["working", "inert"])
+    def test_a_feed_of_nothing_changes_nothing(self, ampere, aux_pages):
+        """A core that kept and collided with no sample need not be fed:
+        the feed returns zeros and leaves the session as it was."""
+        for reference in (False, True):
+            evs = [open_event(ampere, aux_pages, watermark=64 * 64)
+                   for _ in range(2)]
+            drvs = [SpeDriver(ev, SpeCostModel(service_loss_records=25))
+                    for ev in evs]
+            for drv in drvs:
+                for n, seed in ((8_000, 0), (2_000, 1)):
+                    drv.feed(sampled(ampere, n, seed))
+            nothing = sampled(ampere, 0, 2)
+            assert nothing.n_kept == nothing.n_collisions == 0
+            if reference:
+                with reference_path():
+                    res = drvs[0].feed(nothing)
+            else:
+                res = drvs[0].feed(nothing)
+            assert (res.n_input, res.n_written, res.n_lost_stall,
+                    res.n_wakeups, res.truncated_records) == (0, 0, 0, 0, 0)
+            assert res.overhead_cycles == 0.0 and len(res.batch) == 0
+            assert_sessions_equal(*evs, *drvs, f"reference={reference}")
 
     def test_planner_fallback_on_external_ring_motion(self, ampere):
         # an externally written aux ring violates the planner's carry
